@@ -14,8 +14,8 @@ from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
                    j_integral, stress_ahead, stress_intensity_factor,
                    tip_quantities)
 from .sie import (CrackProblem, DensitySolution, Discretization, SolverError,
-                  assemble, convergence_sweep, kernel_k1, kernel_k2,
-                  kernel_k3, log_quadrature_weight, solve, solve_classical)
+                  assemble, convergence_sweep, log_quadrature_weight, solve,
+                  solve_classical)
 from .specfun import bessel_k, int_k0, k0_log_reg, k2_reg, k3_reg, meijer_kernel
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __all__ = [
     "MaterialParams", "DefectCharge", "FieldState",
     "line_sigma_yy", "line_m_yz", "full_field", "semi_infinite_integral",
     "CrackProblem", "Discretization", "DensitySolution", "SolverError",
-    "kernel_k1", "kernel_k2", "kernel_k3", "log_quadrature_weight",
+    "log_quadrature_weight",
     "assemble", "solve", "solve_classical", "convergence_sweep",
     "CrackProfiles", "TipQuantities", "ClassicalBaseline",
     "crack_profiles", "endpoint_values", "tip_quantities", "stress_ahead",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -69,30 +68,29 @@ def _write_summary(path_base: Path, config: dict, record: dict, fmt: str):
     return path
 
 
-def _material_problem(args) -> CrackProblem:
-    if args.p <= 0.0:
-        raise ConfigError("--p must be positive")
-    mat = MaterialParams(mu=args.mu, nu=args.nu, ell=args.a / args.p)
-    return CrackProblem(half_length=args.a, remote_tension=args.sigma0,
-                        material=mat)
-
-
-def _solve_one(nu, p, n, a=1.0, sigma0=1.0, mu=1.0):
+def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
     mat = MaterialParams(mu=mu, nu=nu, ell=a / p)
-    prob = CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
+    return CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
+
+
+def _solve_one(prob: CrackProblem, n):
     sol = solve(prob, Discretization.build(n))
     tip = tip_quantities(sol)
+    a, sigma0 = prob.half_length, prob.remote_tension
+    mu, nu = prob.material.mu, prob.material.nu
     k_ratio = tip.k_i / (sigma0 * np.sqrt(np.pi * a))
     j_cl = np.pi * (1.0 - nu) * sigma0 ** 2 * a / (2.0 * mu)
     return sol, tip, k_ratio, tip.j / j_cl
 
 
 def _cmd_solve(args) -> int:
+    if not 0.0 < args.p < np.inf:
+        raise ConfigError("--p must be positive and finite")
+    prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
+                    mu=args.mu)
+    sol, tip, k_ratio, j_ratio = _solve_one(prob, args.n)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prob = _material_problem(args)
-    sol, tip, k_ratio, j_ratio = _solve_one(
-        args.nu, args.p, args.n, a=args.a, sigma0=args.sigma0, mu=args.mu)
     config = dict(command="solve", nu=args.nu, p=args.p, n=args.n,
                   sigma0=args.sigma0, a=args.a, mu=args.mu,
                   format=args.format)
@@ -134,12 +132,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.p_steps < 1:
         raise ConfigError("--p-steps must be at least 1")
-    if not (args.p_min > 0.0 and args.p_max >= args.p_min):
-        raise ConfigError("need 0 < --p-min <= --p-max")
+    if not 0.0 < args.p_min <= args.p_max < np.inf:
+        raise ConfigError("need 0 < --p-min <= --p-max < inf")
     try:
         nus = [float(v) for v in args.nu_list.split(",") if v.strip()]
     except ValueError as exc:
@@ -154,9 +150,9 @@ def _cmd_sweep(args) -> int:
         ps = np.linspace(args.p_min, args.p_max, args.p_steps)
 
     cases = [(nu, p) for nu in nus for p in ps]
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        results = list(pool.map(
-            lambda c: _solve_one(c[0], c[1], args.n), cases))
+    results = [_solve_one(_problem(nu, p), args.n) for nu, p in cases]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     config = dict(command="sweep", n=args.n, p_min=args.p_min,
                   p_max=args.p_max, p_steps=args.p_steps,
@@ -190,8 +186,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_field(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.x_num < 1 or args.y_num < 1:
         raise ConfigError("empty grid: --x-num and --y-num must be >= 1")
     mat = MaterialParams(mu=args.mu, nu=args.nu, ell=args.ell)
@@ -205,6 +199,8 @@ def _cmd_field(args) -> int:
             if x == 0.0 and y == 0.0:
                 raise ConfigError(
                     f"grid contains the defect core point ({x:g}, {y:g})")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     config = dict(command="field", b=args.b, omega=args.omega, mu=args.mu,
                   nu=args.nu, ell=args.ell, x_min=args.x_min,
@@ -226,13 +222,13 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mat = MaterialParams(mu=args.mu, nu=args.nu, ell=0.0)
     prob = CrackProblem(half_length=args.a, remote_tension=args.sigma0,
                         material=mat)
     base = classical_baseline(prob, n=args.n,
                               m_samples=args.profile_samples)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     config = dict(command="baseline", nu=args.nu, n=args.n,
                   sigma0=args.sigma0, a=args.a, mu=args.mu,
                   format=args.format)
@@ -288,7 +284,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--p-steps", type=int, required=True)
     sp.add_argument("--log-spaced", action="store_true")
     sp.add_argument("--nu-list", type=str, default="0.3")
-    sp.add_argument("--workers", type=int, default=4)
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("field", help="evaluate the defect field on a grid")

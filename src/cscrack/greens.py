@@ -60,12 +60,13 @@ class MaterialParams:
     ell: float
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise ValueError("shear modulus mu must be positive")
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError("shear modulus mu must be positive and finite")
         if not (-1.0 < self.nu <= 0.5):
             raise ValueError("Poisson ratio nu must lie in (-1, 0.5]")
-        if self.ell < 0.0:
-            raise ValueError("characteristic length ell must be >= 0")
+        if not 0.0 <= self.ell < np.inf:
+            raise ValueError(
+                "characteristic length ell must be >= 0 and finite")
 
 
 @dataclass(frozen=True)

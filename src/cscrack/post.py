@@ -144,13 +144,6 @@ def endpoint_values(sol: DensitySolution):
     return float(np.sum(cf)), float(np.sum(cg))
 
 
-def _endpoint_both(vals: np.ndarray):
-    """(value at s=1, value at s=-1) of the interpolant."""
-    c = chebyshev_coefficients(vals)
-    signs = (-1.0) ** np.arange(c.size)
-    return float(np.sum(c)), float(np.sum(c * signs))
-
-
 def stress_intensity_factor(sol: DensitySolution) -> float:
     """Mode-I stress intensity factor from the endpoint value f(1)."""
     prob = sol.problem

@@ -38,16 +38,13 @@ import numpy as np
 from scipy import linalg as _linalg
 
 from .greens import MaterialParams
-from .specfun import _k2c, k0_log_reg, k2_reg, k3_reg
+from .specfun import _regularised, int_k0
 
 __all__ = [
     "CrackProblem",
     "Discretization",
     "DensitySolution",
     "SolverError",
-    "kernel_k1",
-    "kernel_k2",
-    "kernel_k3",
     "log_quadrature_weight",
     "assemble",
     "solve",
@@ -74,8 +71,8 @@ class CrackProblem:
     material: MaterialParams
 
     def __post_init__(self):
-        if not self.half_length > 0.0:
-            raise ValueError("half_length must be positive")
+        if not 0.0 < self.half_length < np.inf:
+            raise ValueError("half_length must be positive and finite")
         if not np.isfinite(self.remote_tension):
             raise ValueError("remote_tension must be finite")
 
@@ -123,37 +120,6 @@ class DensitySolution:
     classical_degenerate: bool = False
 
 
-def kernel_k1(x, xi, a, ell):
-    """First regular kernel: a/(x-xi) * [2 l^2/(x-xi)^2 - K2 - 1/2].
-
-    The bracket vanishes like (x-xi)^2 ln|x-xi|, so the kernel is odd in
-    (x-xi) and extends continuously by 0 at coincidence.  The -1/2 is
-    fused into the series evaluation of the bracket to avoid cancellation.
-    """
-    if ell <= 0.0:
-        raise ValueError("kernel_k1 requires ell > 0")
-    dx = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(dx != 0.0, a * _k2c(np.abs(dx) / ell)
-                       / np.where(dx != 0.0, dx, 1.0), 0.0)
-    return out if out.ndim else float(out)
-
-
-def kernel_k2(x, xi, ell):
-    """Second regular kernel: [2 l^2/r^2 - K2] + [K0 + ln(r/l)], r = |x-xi|.
-
-    Even in (x-xi), with coincidence value 1/2 + ln 2 - EulerGamma.
-    """
-    dx = np.abs(np.asarray(x, dtype=float) - np.asarray(xi, dtype=float))
-    return k2_reg(dx, ell) + k0_log_reg(dx, ell)
-
-
-def kernel_k3(x, xi, ell):
-    """Third regular kernel: the Meijer-G kernel plus its Cauchy part."""
-    dx = np.asarray(x, dtype=float) - np.asarray(xi, dtype=float)
-    return k3_reg(dx, ell)
-
-
 def log_quadrature_weight(t, disc: Discretization, p):
     """Quadrature correction G_n(t) for the logarithmic kernel.
 
@@ -177,11 +143,23 @@ def log_quadrature_weight(t, disc: Discretization, p):
 
 
 def _normalized_kernels(dt, p):
-    """Kernel matrices in crack coordinates t, s with w = p|t - s|."""
+    """Regular kernels k1, k2, k3 and ln(p|t - s|) in crack coordinates.
+
+    With w = p|t - s| (a/ell = p, so w = |x - xi|/ell):
+
+        k1 = [2/w^2 - K2(w) - 1/2] / (t - s)
+        k2 = [2/w^2 - K2(w)] + [K0(w) + ln w]
+        k3 = -4 sgn(t - s) [ (K1(w) - 1/w) + int_0^w K0 ]   (= k3_reg)
+
+    k1 is odd and vanishes like (t-s) ln|t-s| at coincidence, k2 is even
+    with coincidence value 1/2 + ln 2 - EulerGamma, and k3 is odd and zero
+    there.  The collocation grid never evaluates t = s.
+    """
     w = p * np.abs(dt)
-    k1n = _k2c(w) / dt
-    k2n = k2_reg(w, 1.0) + k0_log_reg(w, 1.0)
-    k3n = k3_reg(dt, 1.0 / p)
+    k0_log, k1_recip, k2c = _regularised(w)
+    k1n = k2c / dt
+    k2n = (0.5 + k2c) + k0_log
+    k3n = -4.0 * np.sign(dt) * (k1_recip + int_k0(w))
     lnp = np.log(w)
     return k1n, k2n, k3n, lnp
 
@@ -204,7 +182,8 @@ def assemble(problem: CrackProblem, disc: Discretization):
     dt = t[:, None] - s[None, :]
 
     k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
-    gn = np.array([log_quadrature_weight(tk, disc, p) for tk in t])
+    # log_quadrature_weight at every U_{n-1} zero: a constant
+    gn = -np.pi * np.log(2.0) / n
     tn_t = (-1.0) ** np.arange(1, n)            # T_n at the U_{n-1} zeros
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     tprime = n * (-1.0) ** np.arange(n) / np.sin(theta)   # T_n'(s_i)
@@ -217,12 +196,15 @@ def assemble(problem: CrackProblem, disc: Discretization):
     # normal-stress rows
     a_mat[:m, :n] = (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt \
         + (2.0 / n) * k1n
-    a_mat[:m, n:] = (lnp - k2n) / n + gn[:, None] * lagrange / np.pi
+    a_mat[:m, n:] = (lnp - k2n) / n + gn * lagrange / np.pi
     rhs[:m] = -1.0
 
-    # couple-stress rows
-    a_mat[m:2 * m, :n] = (lnp - k2n) / n + gn[:, None] * lagrange / np.pi
-    a_mat[m:2 * m, n:] = -2.0 / (p * p * n) / dt + k3n / (2.0 * p * n)
+    # couple-stress rows; the log/k2 coupling block is shared
+    a_mat[m:2 * m, :n] = a_mat[:m, n:]
+    # 2/p/p rather than 2/p^2: inf, not ZeroDivisionError, if p^2
+    # underflows; solve() rejects the non-finite system
+    with np.errstate(over="ignore"):
+        a_mat[m:2 * m, n:] = -2.0 / p / p / n / dt + k3n / (2.0 * p * n)
 
     # closure rows
     a_mat[2 * m, :n] = 1.0
@@ -261,8 +243,10 @@ def solve(problem: CrackProblem, disc: Discretization,
     Raises
     ------
     SolverError
-        If the equilibrated matrix is ill-conditioned (estimate above
-        1e12) or the solution fails the 1e-10 relative-residual check.
+        If the system has non-finite coefficients (a/ell so small that
+        2/(a/ell)^2 overflows), the equilibrated matrix is ill-conditioned
+        (estimate above 1e12) or the solution fails the 1e-10
+        relative-residual check.
     """
     p = problem.p
     nu = problem.material.nu
@@ -281,13 +265,17 @@ def solve(problem: CrackProblem, disc: Discretization,
                                condition=float(n),
                                classical_degenerate=True)
 
+    a_mat, rhs = assemble(problem, disc)
+    if not np.all(np.isfinite(a_mat)):
+        raise SolverError(
+            f"crack system has non-finite coefficients at n = {n}, "
+            f"p = {p:g}, nu = {nu:g}: a/ell is too small for 2/(a/ell)^2")
     if p < _P_WARN:
         warnings.warn(
             f"a/ell = {p:g} is far below 1; the continuum premise "
             "a >> ell is strained but the system is still solved",
             RuntimeWarning, stacklevel=2)
 
-    a_mat, rhs = assemble(problem, disc)
     # row equilibration keeps the condition number flat across the many
     # orders of magnitude spanned by the 2/p^2 couple-stress prefactor
     scale = np.max(np.abs(a_mat), axis=1)

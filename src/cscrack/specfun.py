@@ -13,10 +13,15 @@ singularity-subtracted combinations
     k0_log_reg = K0(|x|/l) + ln(|x|/l)          -> ln 2 - g   as x -> 0
     k3_reg     = meijer_kernel(x, l) + 4 l/x    -> 0          as x -> 0
 
-(g is Euler's constant).  Near zero the defining differences suffer
-catastrophic cancellation, so each combination switches to an explicit
-power series below ``_SERIES_SWITCH``; both branches agree to ~1e-13 at
-the switch point.
+(g is Euler's constant).  All three come from one private evaluator that
+returns K0 + ln w, K1 - 1/w and 2/w^2 - K2 - 1/2 together for an array
+w >= 0.  Near zero the defining differences suffer catastrophic
+cancellation, so below ``_SERIES_SWITCH`` the evaluator sums the ascending
+series of K0, K1 and K2 at once, from coefficient tables built at import.
+Above it, one K0 and one K1 evaluation give K2 through the upward
+recurrence K2(w) = K0(w) + 2 K1(w)/w (Abramowitz & Stegun 9.6.26), which
+is stable in that direction.  The two branches agree to ~1e-13 at the
+switch point.  The solver's kernel matrices call the same evaluator.
 
 The Meijer-G function itself reduces to elementary Bessel quantities,
 
@@ -47,11 +52,10 @@ __all__ = [
     "int_k0",
 ]
 
-_EULER_GAMMA = np.euler_gamma
-
 # Series/direct crossover for the regularized combinations.  At w = 1 the
-# direct evaluation loses < 1 digit to cancellation and the series needs
-# ~15 terms for full precision.
+# direct evaluation loses < 1 digit to cancellation; the series terms fall
+# below 1e-17 of the leading one after about a dozen terms, so 24 terms
+# leave a wide margin.
 _SERIES_SWITCH = 1.0
 _SERIES_TERMS = 24
 
@@ -86,102 +90,84 @@ def bessel_k(order, z, scaled=False):
     elif order == 1:
         out = _sp.k1e(z) if scaled else _sp.k1(z)
     elif order == 2:
-        out = _sp.kve(2, z) if scaled else _sp.kn(2, z)
+        out = _sp.kve(2, z) if scaled else _sp.k0(z) + 2.0 * _sp.k1(z) / z
     else:
         raise ValueError(f"bessel_k order must be 0, 1 or 2, got {order!r}")
     return out if out.ndim else float(out)
 
 
-def _k2c_series(w):
-    """Series for 2/w^2 - K2(w) - 1/2 (valid for small w, w >= 0).
+def _series_table():
+    """Coefficients of the six power series in q = w^2/4, one per column.
 
-    From the ascending series of K2,
-        2/w^2 - K2(w) - 1/2 = ln(w/2) I2(w)
-            - (1/2)(w/2)^2 sum_k [psi(k+1)+psi(k+3)] (w^2/4)^k / (k! (k+2)!).
-    Both sums are accumulated from the common term
-    t_k = (w/2)^(2k+2) / (k! (k+2)!).
+    Row k holds, for n = 0, 1, 2 in turn, 1/(k! (n+k)!) and
+    (1/2)[psi(k+1) + psi(n+k+1)] / (k! (n+k)!); the k = 0 entry of the
+    first column is dropped so that it sums I0 - 1 without cancellation.
+    """
+    k = np.arange(_SERIES_TERMS)
+    fact = _sp.factorial(np.arange(_SERIES_TERMS + 2))
+    psi = _sp.digamma(np.arange(1, _SERIES_TERMS + 3))
+    cols = []
+    for n in (0, 1, 2):
+        inv = 1.0 / (fact[k] * fact[k + n])
+        cols.append(np.where(k > 0, inv, 0.0) if n == 0 else inv)
+        cols.append(0.5 * (psi[k] + psi[k + n]) * inv)
+    return np.stack(cols, axis=1)
+
+
+_SERIES_TABLE = _series_table()
+
+
+def _regularised_series(w):
+    """Ascending series of (K0 + ln w, K1 - 1/w, 2/w^2 - K2 - 1/2).
+
+    For a 1-D array w >= 0 of small values.  With h = w/2, q = h^2 and
+
+        I_n = h^n sum_k q^k / (k! (n+k)!),
+        S_n = h^n sum_k (1/2)[psi(k+1) + psi(n+k+1)] q^k / (k! (n+k)!),
+
+    the ascending series of K0, K1, K2 give
+
+        K0 + ln w        = ln 2 - ln(h) (I0 - 1) + S0,
+        K1 - 1/w         = ln(h) I1 - S1,
+        2/w^2 - K2 - 1/2 = ln(h) I2 - S2.
+
+    At w = 0 ln(h) is replaced by 0, since I0 - 1, I1 and I2 vanish there.
     """
     w = np.asarray(w, dtype=float)
     q = 0.25 * w * w
-    term = 0.5 * q                      # t_0 = (w/2)^2 / (0! 2!)
-    i2 = np.zeros_like(w)
-    psum = np.zeros_like(w)
-    for k in range(_SERIES_TERMS):
-        i2 = i2 + term
-        psum = psum + 0.5 * term * (_sp.digamma(k + 1) + _sp.digamma(k + 3))
-        term = term * q / ((k + 1) * (k + 3))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(w > 0.0, np.log(0.5 * w), 0.0)
-    # ln(w/2)*I2 -> 0 as w -> 0 because I2 = O(w^2)
-    return np.where(w > 0.0, logw * i2, 0.0) - psum
+    acc = np.zeros((_SERIES_TABLE.shape[1], w.size))
+    for row in _SERIES_TABLE[::-1]:         # Horner in q, six at once
+        acc *= q
+        acc += row[:, None]
+    i0m1, s0, i1, s1, i2, s2 = acc          # without the h^n factors
+    h = 0.5 * w
+    with np.errstate(divide="ignore"):
+        logh = np.where(w > 0.0, np.log(h), 0.0)
+    return (np.log(2.0) - logh * i0m1 + s0,
+            h * (logh * i1 - s1),
+            h * h * (logh * i2 - s2))
 
 
-def _k2c(w):
-    """2/w^2 - K2(w) - 1/2 on [0, inf); series below the switch point."""
+def _regularised(w):
+    """(K0 + ln w, K1 - 1/w, 2/w^2 - K2 - 1/2) for an array w >= 0.
+
+    The series covers w < _SERIES_SWITCH; above it one k0 and one k1 call
+    give K2 by the upward recurrence K2 = K0 + 2 K1/w.  Returns an array
+    of shape (3,) + w.shape.
+    """
     w = np.asarray(w, dtype=float)
+    out = np.empty((3,) + w.shape)
     small = w < _SERIES_SWITCH
-    out = np.empty_like(w)
+    # skip an empty branch: a scalar call always leaves one of them empty
     if np.any(small):
-        out[small] = _k2c_series(w[small])
-    if np.any(~small):
-        wb = w[~small]
-        out[~small] = 2.0 / (wb * wb) - _sp.kn(2, wb) - 0.5
-    return out
-
-
-def _k0_log_series(w):
-    """Series for K0(w) + ln(w) (small w, w >= 0).
-
-    K0(w) = -(ln(w/2)+g) I0(w) + sum_{k>=1} H_k (w^2/4)^k / (k!)^2, hence
-    K0(w) + ln(w) = ln2 - g + (ln(w/2)+g)(1 - I0(w)) + sum_{k>=1} H_k ... .
-    """
-    w = np.asarray(w, dtype=float)
-    q = 0.25 * w * w
-    i0m1 = np.zeros_like(w)             # I0(w) - 1
-    hsum = np.zeros_like(w)
-    term = np.ones_like(w)
-    harmonic = 0.0
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * q / (k * k)
-        harmonic += 1.0 / k
-        i0m1 = i0m1 + term
-        hsum = hsum + harmonic * term
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(w > 0.0, np.log(0.5 * w), 0.0)
-    base = np.log(2.0) - _EULER_GAMMA
-    return base - np.where(w > 0.0, (logw + _EULER_GAMMA) * i0m1, 0.0) + hsum
-
-
-def _k1_minus_recip_series(w):
-    """Series for K1(w) - 1/w (small w, w >= 0).
-
-    K1(w) - 1/w = ln(w/2) I1(w)
-        - (1/2)(w/2) sum_k [psi(k+1)+psi(k+2)] (w^2/4)^k / (k! (k+1)!).
-    """
-    w = np.asarray(w, dtype=float)
-    q = 0.25 * w * w
-    term = 0.5 * w                      # (w/2) / (0! 1!)
-    i1 = np.zeros_like(w)
-    psum = np.zeros_like(w)
-    for k in range(_SERIES_TERMS):
-        i1 = i1 + term
-        psum = psum + 0.5 * term * (_sp.digamma(k + 1) + _sp.digamma(k + 2))
-        term = term * q / ((k + 1) * (k + 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.where(w > 0.0, np.log(0.5 * w), 0.0)
-    return np.where(w > 0.0, logw * i1, 0.0) - psum
-
-
-def _k1_minus_recip(w):
-    """K1(w) - 1/w on [0, inf); equals 0 at w = 0."""
-    w = np.asarray(w, dtype=float)
-    small = w < _SERIES_SWITCH
-    out = np.empty_like(w)
-    if np.any(small):
-        out[small] = _k1_minus_recip_series(w[small])
-    if np.any(~small):
-        wb = w[~small]
-        out[~small] = _sp.k1(wb) - 1.0 / wb
+        out[:, small] = _regularised_series(w[small])
+    if not np.all(small):
+        big = ~small
+        wb = w[big]
+        k0, k1 = _sp.k0(wb), _sp.k1(wb)
+        out[0, big] = k0 + np.log(wb)
+        out[1, big] = k1 - 1.0 / wb
+        out[2, big] = 2.0 / (wb * wb) - (k0 + 2.0 * k1 / wb) - 0.5
     return out
 
 
@@ -207,8 +193,8 @@ def k2_reg(x_abs, ell):
     """
     if ell <= 0.0:
         raise ValueError("k2_reg requires ell > 0")
-    x_abs = np.abs(np.asarray(x_abs, dtype=float))
-    out = 0.5 + _k2c(x_abs / ell)
+    w = np.abs(np.asarray(x_abs, dtype=float)) / ell
+    out = 0.5 + _regularised(w)[2]
     return out if out.ndim else float(out)
 
 
@@ -221,13 +207,7 @@ def k0_log_reg(x_abs, ell):
     if ell <= 0.0:
         raise ValueError("k0_log_reg requires ell > 0")
     w = np.abs(np.asarray(x_abs, dtype=float)) / ell
-    small = w < _SERIES_SWITCH
-    out = np.empty_like(w)
-    if np.any(small):
-        out[small] = _k0_log_series(w[small])
-    if np.any(~small):
-        wb = w[~small]
-        out[~small] = _sp.k0(wb) + np.log(wb)
+    out = _regularised(w)[0]
     return out if out.ndim else float(out)
 
 
@@ -270,5 +250,5 @@ def k3_reg(x, ell):
         raise ValueError("k3_reg requires ell > 0")
     x = np.asarray(x, dtype=float)
     w = np.abs(x) / ell
-    out = -4.0 * np.sign(x) * (_k1_minus_recip(w) + int_k0(w))
+    out = -4.0 * np.sign(x) * (_regularised(w)[1] + int_k0(w))
     return out if out.ndim else float(out)

@@ -1,6 +1,7 @@
 """Command-line driver: files, formats, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ def test_malformed_config_exits_one(tmp_path, capsys):
     assert err.strip().count("\n") == 0 and err.startswith("error:")
     assert main(["solve", "--p", "-3", "--out", str(tmp_path)]) == 1
     assert main(["bogus-command"]) == 1
+    capsys.readouterr()
+    # non-finite or unrepresentable inputs: a one-line message, no files
+    out = tmp_path / "never"
+    sweep = ["sweep", "--p-steps", "2", "--n", "16"]
+    for argv, codes in ((["solve", "--p", "inf"], (1,)),
+                        (["solve", "--p", "nan"], (1,)),
+                        (["solve", "--mu", "inf"], (1,)),
+                        (["solve", "--p", "1e-300", "--n", "16"], (1, 2)),
+                        (["baseline", "--a", "inf"], (1,)),
+                        (sweep + ["--p-min", "1", "--p-max", "inf"], (1,)),
+                        (sweep + ["--p-min", "inf", "--p-max", "inf"], (1,)),
+                        (sweep + ["--p-min", "1e-300", "--p-max", "1e-299"],
+                         (1, 2))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) in codes, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+        assert not out.exists(), argv
 
 
 def test_sweep_outputs_and_flags(tmp_path):
@@ -165,6 +185,15 @@ def test_field_grid_validation(tmp_path, capsys):
     assert main(["field", "--x-min", "0", "--x-max", "1", "--x-num", "0",
                  "--y-min", "0", "--y-max", "0", "--y-num", "1",
                  "--out", str(tmp_path)]) == 1
+    capsys.readouterr()
+    out = tmp_path / "never"
+    for bad in (["--ell", "nan"], ["--ell", "inf"], ["--mu", "inf"]):
+        assert main(["field", "--x-min", "1", "--x-max", "2", "--x-num", "2",
+                     "--y-min", "0", "--y-max", "1", "--y-num", "2",
+                     "--out", str(out)] + bad) == 1, bad
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err, bad
+        assert not out.exists(), bad
 
 
 def test_baseline_outputs(tmp_path):

@@ -15,6 +15,13 @@ DISCLIN = DefectCharge(b=0.0, omega=1.0)
 MIXED = DefectCharge(b=0.7, omega=0.9)
 
 
+def test_material_params_reject_non_finite():
+    for bad in (dict(mu=np.inf), dict(mu=np.nan), dict(ell=np.inf),
+                dict(ell=np.nan), dict(nu=np.nan)):
+        with pytest.raises(ValueError):
+            MaterialParams(**{**dict(mu=1.0, nu=0.3, ell=1.0), **bad})
+
+
 # ------------------------------------------------------------ line values
 
 def test_line_sigma_yy_classical_limit():

@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from cscrack import (CrackProblem, Discretization, MaterialParams,
-                     assemble, k3_reg, kernel_k1, kernel_k2, kernel_k3,
-                     log_quadrature_weight, solve, solve_classical)
+                     assemble, k3_reg, log_quadrature_weight, solve,
+                     solve_classical)
 from cscrack.post import endpoint_values
+from cscrack.sie import _normalized_kernels
 
 EG = np.euler_gamma
 
@@ -64,11 +65,21 @@ def test_principal_value_identity():
 
 # ------------------------------------------------------------------- kernels
 
+def _kernels(dt, p):
+    """(k1, k2, k3) at t - s = dt through the solver's own kernel path.
+
+    At dt = 0 the k1 quotient and ln(p|t-s|) are undefined; only these
+    tests evaluate there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1, k2, k3, _ = _normalized_kernels(np.asarray(dt, dtype=float), p)
+    return k1, k2, k3
+
+
 def test_kernel_k1_coincidence_and_antisymmetry():
-    assert kernel_k1(0.4, 0.4, 1.0, 0.1) == 0.0
     for x, xi in ((0.3, -0.2), (0.9, 0.85)):
-        assert kernel_k1(x, xi, 1.0, 0.1) == pytest.approx(
-            -kernel_k1(xi, x, 1.0, 0.1), rel=1e-14)
+        k1, _, _ = _kernels([x - xi, xi - x], 10.0)
+        assert k1[0] == pytest.approx(-k1[1], rel=1e-14)
 
 
 def test_kernel_k1_coincidence_limit_by_series():
@@ -78,37 +89,44 @@ def test_kernel_k1_coincidence_limit_by_series():
     for dx in (1e-5, 1e-7):
         lead = a * dx / (8.0 * ell * ell) * (
             np.log(0.5 * dx / ell) + EG - 0.75)
-        assert kernel_k1(0.4 + dx, 0.4, a, ell) == pytest.approx(
-            lead, rel=1e-3)
-    assert abs(kernel_k1(0.4 + 1e-9, 0.4, a, ell)) < 1e-6
+        k1, _, _ = _kernels([(0.4 + dx) - 0.4], a / ell)
+        assert k1[0] == pytest.approx(lead, rel=1e-3)
+    k1, _, _ = _kernels([(0.4 + 1e-9) - 0.4], a / ell)
+    assert abs(k1[0]) < 1e-6
 
 
 def test_kernel_k1_bessel_dead_tail():
     a, ell = 1.0, 0.01
     x, xi = 0.6, -0.4   # |x-xi| = 100 ell
     expect = a / (x - xi) * (2 * ell ** 2 / (x - xi) ** 2 - 0.5)
-    assert kernel_k1(x, xi, a, ell) == pytest.approx(expect, abs=1e-10)
+    k1, _, _ = _kernels([x - xi], a / ell)
+    assert k1[0] == pytest.approx(expect, abs=1e-10)
 
 
 def test_kernel_k2_coincidence_value_and_evenness():
-    assert kernel_k2(0.3, 0.3, 0.1) == pytest.approx(
-        0.5 + np.log(2.0) - EG, rel=1e-14)
-    assert kernel_k2(0.7, 0.2, 0.1) == pytest.approx(
-        kernel_k2(0.2, 0.7, 0.1), rel=1e-15)
+    _, k2, _ = _kernels([0.0, 0.7 - 0.2, 0.2 - 0.7], 10.0)
+    assert k2[0] == pytest.approx(0.5 + np.log(2.0) - EG, rel=1e-14)
+    assert k2[1] == pytest.approx(k2[2], rel=1e-15)
 
 
 def test_kernel_k2_bessel_dead_tail():
     ell = 0.01
     r = 1.0
     expect = 2 * ell ** 2 / r ** 2 + np.log(r / ell)
-    assert kernel_k2(0.5, -0.5, ell) == pytest.approx(expect, abs=1e-10)
+    _, k2, _ = _kernels([0.5 - (-0.5)], 1.0 / ell)
+    assert k2[0] == pytest.approx(expect, abs=1e-10)
 
 
 def test_kernel_k3_delegates_to_regular_form():
-    for x, xi in ((0.5, 0.1), (-0.2, 0.6)):
-        assert kernel_k3(x, xi, 0.2) == k3_reg(x - xi, 0.2)
-    assert kernel_k3(0.3, 0.3, 0.2) == 0.0
-    assert kernel_k3(0.1, 0.6, 0.2) == -kernel_k3(0.6, 0.1, 0.2)
+    ell = 0.2
+    p = 1.0 / ell
+    dt = np.array([0.5 - 0.1, -0.2 - 0.6, 0.0, 0.1 - 0.6, 0.6 - 0.1])
+    _, _, k3 = _kernels(dt, p)
+    # k3_reg depends on x/ell only, so p*dt at ell = 1 is the same point
+    assert np.array_equal(k3, k3_reg(p * dt, 1.0))
+    assert k3 == pytest.approx(k3_reg(dt, ell), rel=1e-14)
+    assert k3[2] == 0.0
+    assert k3[3] == -k3[4]
 
 
 # ------------------------------------------------------------ log quadrature
@@ -122,9 +140,11 @@ def test_log_rule_exact_for_constant_density():
         assert quad_sum == pytest.approx(np.pi * np.log(0.5 * p), abs=1e-13)
 
 
-def test_log_weight_collapses_at_collocation_points():
-    # product of (t_k - s_i) equals T_n(t_k)/2^(n-1): G_n(t_k) = -pi ln2/n
-    n, p = 32, 7.0
+@pytest.mark.parametrize("n", [16, 32, 128, 129])
+def test_log_weight_collapses_at_collocation_points(n):
+    # product of (t_k - s_i) equals T_n(t_k)/2^(n-1): G_n(t_k) = -pi ln2/n,
+    # the constant assemble uses in place of G_n
+    p = 7.0
     d = Discretization.build(n)
     for tk in d.collocation:
         assert log_quadrature_weight(tk, d, p) == pytest.approx(

@@ -6,8 +6,7 @@ from scipy import integrate
 
 from cscrack.specfun import (bessel_k, int_k0, k0_log_reg, k2_reg, k3_reg,
                              meijer_kernel)
-from cscrack.specfun import _SERIES_SWITCH, _k1_minus_recip_series, \
-    _k2c_series, _k0_log_series
+from cscrack.specfun import _SERIES_SWITCH, _regularised_series
 
 EG = np.euler_gamma
 
@@ -165,7 +164,7 @@ def test_k2_reg_direct_composition():
 
 def test_k2_reg_branch_continuity():
     w = _SERIES_SWITCH
-    series = 0.5 + _k2c_series(np.array([w]))[0]
+    series = 0.5 + _regularised_series(np.array([w]))[2][0]
     direct = 2.0 / w ** 2 - bessel_k(2, w)
     assert series == pytest.approx(direct, abs=1e-10)
 
@@ -195,7 +194,7 @@ def test_k0_log_reg_composition():
 
 def test_k0_log_reg_branch_continuity():
     w = _SERIES_SWITCH
-    series = _k0_log_series(np.array([w]))[0]
+    series = _regularised_series(np.array([w]))[0][0]
     direct = bessel_k(0, w) + np.log(w)
     assert series == pytest.approx(direct, abs=1e-10)
 
@@ -281,7 +280,7 @@ def test_k3_reg_near_zero_log_expansion():
 
 def test_k1_minus_recip_branch_continuity():
     w = _SERIES_SWITCH
-    series = _k1_minus_recip_series(np.array([w]))[0]
+    series = _regularised_series(np.array([w]))[1][0]
     direct = bessel_k(1, w) - 1.0 / w
     assert series == pytest.approx(direct, abs=1e-10)
 
