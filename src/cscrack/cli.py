@@ -19,7 +19,8 @@ import numpy as np
 from .greens import DefectCharge, MaterialParams, full_field
 from .post import (classical_baseline, crack_profiles, stress_ahead,
                    tip_quantities)
-from .sie import CrackProblem, Discretization, SolverError, solve
+from .sie import (CrackProblem, Discretization, SolverError, _solve_shared,
+                  solve)
 
 __all__ = ["main"]
 
@@ -54,17 +55,34 @@ def _write_csv(path: Path, config: dict, columns: dict):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_summary(path_base: Path, config: dict, record: dict, fmt: str):
+def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
+    """Write a command's CSV tables and its summary record, or nothing.
+
+    ``tables`` maps file names to columns; ``summary`` is (path stem,
+    record, format).  Every value is checked before the output directory
+    is created, so a non-finite result (say, an overflow at extreme
+    --mu or --sigma0) is a numerical failure that leaves no files.
+    """
+    stem, record, fmt = summary if summary else (None, {}, None)
+    numbers = {key: v for key, v in record.items()
+               if isinstance(v, (int, float, np.floating))}
+    for name, columns in [(stem, numbers), *tables.items()]:
+        for col, vals in columns.items():
+            if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
+                raise SolverError(f"non-finite {col} in {name}")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, columns in tables.items():
+        _write_csv(out / name, config, columns)
+    if summary is None:
+        return None
     if fmt == "json":
-        path = path_base.with_suffix(".json")
+        path = (out / stem).with_suffix(".json")
         payload = {"config": config, **record}
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     else:
-        path = path_base.with_suffix(".csv")
-        _write_csv(path, config,
-                   {k: [v] for k, v in record.items()
-                    if isinstance(v, (int, float, np.floating))})
+        path = (out / stem).with_suffix(".csv")
+        _write_csv(path, config, {k: [v] for k, v in numbers.items()})
     return path
 
 
@@ -73,59 +91,62 @@ def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
     return CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
 
 
-def _solve_one(prob: CrackProblem, n):
-    sol = solve(prob, Discretization.build(n))
+def _ratios(sol):
+    """(tip quantities, K_I ratio, J ratio) of one solution, the ratios
+    taken against the classical crack of the same a, sigma0, mu, nu."""
     tip = tip_quantities(sol)
+    prob = sol.problem
     a, sigma0 = prob.half_length, prob.remote_tension
     mu, nu = prob.material.mu, prob.material.nu
     k_ratio = tip.k_i / (sigma0 * np.sqrt(np.pi * a))
     j_cl = np.pi * (1.0 - nu) * sigma0 ** 2 * a / (2.0 * mu)
-    return sol, tip, k_ratio, tip.j / j_cl
+    return tip, k_ratio, tip.j / j_cl
 
 
 def _cmd_solve(args) -> int:
     if not 0.0 < args.p < np.inf:
         raise ConfigError("--p must be positive and finite")
+    if args.sigma0 == 0.0:
+        raise ConfigError("--sigma0 must be nonzero: outputs are "
+                          "normalized by it")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
-    sol, tip, k_ratio, j_ratio = _solve_one(prob, args.n)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    sol = solve(prob, Discretization.build(args.n))
+    tip, k_ratio, j_ratio = _ratios(sol)
     config = dict(command="solve", nu=args.nu, p=args.p, n=args.n,
                   sigma0=args.sigma0, a=args.a, mu=args.mu,
                   format=args.format)
 
-    _write_csv(out / "densities.csv", config, {
-        "s": sol.disc.nodes, "f": sol.f_vals, "g": sol.g_vals})
-
     prof = crack_profiles(sol, m_samples=args.profile_samples)
     scale_u = prob.material.mu / (args.sigma0 * args.a)
-    _write_csv(out / "profiles.csv", config, {
-        "x": prof.x_samples,
-        "x_over_a": prof.x_samples / args.a,
-        "delta_uy": prof.delta_uy,
-        "delta_uy_norm": prof.delta_uy * scale_u,
-        "delta_omega": prof.delta_omega,
-        "delta_omega_norm": prof.delta_omega * prob.material.mu / args.sigma0,
-    })
-
     ell = prob.material.ell
     xbar = ell * np.geomspace(1e-3, 20.0, args.neartip_samples)
     syy, myz = stress_ahead(sol, args.a + xbar)
-    _write_csv(out / "neartip.csv", config, {
-        "xbar": xbar,
-        "xbar_over_ell": xbar / ell,
-        "sigma_yy": syy,
-        "sigma_yy_over_sigma0": syy / args.sigma0,
-        "m_yz": myz,
-        "m_yz_over_sigma0_ell": myz / (args.sigma0 * ell),
-    })
-
+    tables = {
+        "densities.csv": {
+            "s": sol.disc.nodes, "f": sol.f_vals, "g": sol.g_vals},
+        "profiles.csv": {
+            "x": prof.x_samples,
+            "x_over_a": prof.x_samples / args.a,
+            "delta_uy": prof.delta_uy,
+            "delta_uy_norm": prof.delta_uy * scale_u,
+            "delta_omega": prof.delta_omega,
+            "delta_omega_norm":
+                prof.delta_omega * prob.material.mu / args.sigma0},
+        "neartip.csv": {
+            "xbar": xbar,
+            "xbar_over_ell": xbar / ell,
+            "sigma_yy": syy,
+            "sigma_yy_over_sigma0": syy / args.sigma0,
+            "m_yz": myz,
+            "m_yz_over_sigma0_ell": myz / (args.sigma0 * ell)},
+    }
     record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=k_ratio,
                   J=tip.j, J_ratio=j_ratio, n=args.n,
-                  condition=sol.condition,
+                  condition=sol.condition, residual=sol.residual,
                   classical_degenerate=sol.classical_degenerate)
-    path = _write_summary(out / "summary", config, record, args.format)
+    path = _write_outputs(Path(args.out), config, tables,
+                          ("summary", record, args.format))
     print(f"solve: K_I_ratio={_fmt(k_ratio)} J_ratio={_fmt(j_ratio)} "
           f"-> {path}")
     return 0
@@ -149,24 +170,24 @@ def _cmd_sweep(args) -> int:
     else:
         ps = np.linspace(args.p_min, args.p_max, args.p_steps)
 
-    cases = [(nu, p) for nu in nus for p in ps]
-    results = [_solve_one(_problem(nu, p), args.n) for nu, p in cases]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the ratios do not depend on a, sigma0 or mu at fixed p, so the unit
+    # crack serves; the nus of one p share their (n, p) kernel matrices
+    disc = Discretization.build(args.n)
+    rows = []
+    for p in ps:
+        sols = _solve_shared([_problem(nu, p) for nu in nus], disc)
+        for nu, sol in zip(nus, sols):
+            _, kr, jr = _ratios(sol)
+            rows.append((1.0 / p, p, nu, kr, jr))
 
     config = dict(command="sweep", n=args.n, p_min=args.p_min,
                   p_max=args.p_max, p_steps=args.p_steps,
-                  log_spaced=args.log_spaced, nu_list=args.nu_list,
-                  format=args.format)
+                  log_spaced=args.log_spaced, nu_list=args.nu_list)
 
     # one row per (ell/a, nu), sorted by ell/a then nu
-    rows = sorted(
-        ((1.0 / p, p, nu, kr, jr)
-         for (nu, p), (_, _, kr, jr) in zip(cases, results)),
-        key=lambda r: (r[0], r[2]))
+    rows.sort(key=lambda r: (r[0], r[2]))
     cols = {key: [r[i] for r in rows] for i, key in
             enumerate(("ell_over_a", "p", "nu", "K_I_ratio", "J_ratio"))}
-    _write_csv(out / "sweep.csv", config, cols)
 
     flags = {}
     for nu in nus:
@@ -179,8 +200,9 @@ def _cmd_sweep(args) -> int:
                 bool(np.all(np.diff(jr) < 0.0)),
             "J_below_classical": bool(np.all(np.array(jr) < 1.0)),
         }
-    path = _write_summary(out / "sweep_summary", config,
-                          {"monotonicity": flags}, "json")
+    out = Path(args.out)
+    path = _write_outputs(out, config, {"sweep.csv": cols},
+                          ("sweep_summary", {"monotonicity": flags}, "json"))
     print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}, flags -> {path}")
     return 0
 
@@ -199,9 +221,6 @@ def _cmd_field(args) -> int:
             if x == 0.0 and y == 0.0:
                 raise ConfigError(
                     f"grid contains the defect core point ({x:g}, {y:g})")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     config = dict(command="field", b=args.b, omega=args.omega, mu=args.mu,
                   nu=args.nu, ell=args.ell, x_min=args.x_min,
                   x_max=args.x_max, x_num=args.x_num, y_min=args.y_min,
@@ -216,7 +235,8 @@ def _cmd_field(args) -> int:
                     st.ux, st.uy, st.omega)
             for name, v in zip(names, vals):
                 data[name].append(v)
-    _write_csv(out / "field.csv", config, data)
+    out = Path(args.out)
+    _write_outputs(out, config, {"field.csv": data})
     print(f"field: {len(xs) * len(ys)} points -> {out / 'field.csv'}")
     return 0
 
@@ -227,22 +247,21 @@ def _cmd_baseline(args) -> int:
                         material=mat)
     base = classical_baseline(prob, n=args.n,
                               m_samples=args.profile_samples)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     config = dict(command="baseline", nu=args.nu, n=args.n,
                   sigma0=args.sigma0, a=args.a, mu=args.mu,
                   format=args.format)
-    _write_csv(out / "baseline_cod.csv", config, {
+    cod = {
         "x": base.x_samples,
         "x_over_a": base.x_samples / args.a,
         "cod_closed": base.cod,
         "cod_discrete": base.cod_discrete,
-    })
+    }
     record = dict(K_I=base.k_i, K_I_discrete=base.k_i_discrete,
                   K_I_discrete_rel_err=abs(base.k_i_discrete - base.k_i)
                   / base.k_i,
                   J=base.j, n=args.n)
-    path = _write_summary(out / "baseline", config, record, args.format)
+    path = _write_outputs(Path(args.out), config, {"baseline_cod.csv": cod},
+                          ("baseline", record, args.format))
     print(f"baseline: K_I={_fmt(base.k_i)} J={_fmt(base.j)} -> {path}")
     return 0
 
@@ -252,7 +271,9 @@ def _build_parser() -> _Parser:
                      description="couple-stress mode-I crack solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=True):
+    def common(sp, with_p=True, scales=True):
+        """Shared options; ``scales`` adds the crack and material scales
+        and the summary format, which sweep's ratios do not depend on."""
         sp.add_argument("--nu", type=float, default=0.3,
                         help="Poisson ratio")
         if with_p:
@@ -260,16 +281,17 @@ def _build_parser() -> _Parser:
                             help="size ratio a/ell")
         sp.add_argument("--n", type=int, default=128,
                         help="integration nodes")
-        sp.add_argument("--sigma0", type=float, default=1.0,
-                        help="remote tension")
-        sp.add_argument("--a", type=float, default=1.0,
-                        help="crack half-length")
-        sp.add_argument("--mu", type=float, default=1.0,
-                        help="shear modulus")
+        if scales:
+            sp.add_argument("--sigma0", type=float, default=1.0,
+                            help="remote tension")
+            sp.add_argument("--a", type=float, default=1.0,
+                            help="crack half-length")
+            sp.add_argument("--mu", type=float, default=1.0,
+                            help="shear modulus")
+            sp.add_argument("--format", choices=("csv", "json"),
+                            default="json", help="summary format")
         sp.add_argument("--out", type=str, default=".",
                         help="output directory")
-        sp.add_argument("--format", choices=("csv", "json"),
-                        default="json", help="summary format")
 
     sp = sub.add_parser("solve", help="solve one crack configuration")
     common(sp)
@@ -278,7 +300,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("sweep", help="sweep the size ratio a/ell")
-    common(sp, with_p=False)
+    common(sp, with_p=False, scales=False)
     sp.add_argument("--p-min", type=float, required=True)
     sp.add_argument("--p-max", type=float, required=True)
     sp.add_argument("--p-steps", type=int, required=True)
@@ -321,8 +343,11 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SolverError as exc:
+    except (SolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("numerical failure: out of memory", file=sys.stderr)
         return 2
 
 

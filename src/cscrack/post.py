@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sie import (CrackProblem, DensitySolution, Discretization,
-                  _normalized_kernels, solve_classical)
+                  _normalized_kernels, chebyshev_coefficients,
+                  solve_classical)
 
 __all__ = [
     "CrackProfiles",
@@ -89,17 +90,6 @@ class ClassicalBaseline:
     cod_discrete: np.ndarray
 
 
-def chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
-    """Coefficients c_j of the degree n-1 interpolant sum c_j T_j through
-    the nodal values at the zeros of T_n (plain cosine transform)."""
-    vals = np.asarray(vals, dtype=float)
-    n = vals.size
-    theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
-    c = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ vals
-    c[0] *= 0.5
-    return c
-
-
 def _jump_series(coeffs: np.ndarray, theta):
     """sum_{j>=1} (c_j / j) sin(j theta): the weighted antiderivative of
     the density interpolant, vanishing identically at theta = 0, pi."""
@@ -122,8 +112,7 @@ def crack_profiles(sol: DensitySolution, m_samples: int = 201) -> CrackProfiles:
     prob = sol.problem
     a = prob.half_length
     scale = prob.remote_tension / prob.material.mu
-    cf = chebyshev_coefficients(sol.f_vals)
-    cg = chebyshev_coefficients(sol.g_vals)
+    cf, cg = sol.coefficients
     theta = np.linspace(np.pi, 0.0, m_samples + 2)[1:-1]   # x increasing
     x = a * np.cos(theta)
     delta_uy = a * scale * _jump_series(cf, theta)
@@ -139,8 +128,7 @@ def endpoint_values(sol: DensitySolution):
     evaluated at s = 1 (T_j(1) = 1 for every j), i.e. the standard
     endpoint extraction; it reproduces polynomial data exactly.
     """
-    cf = chebyshev_coefficients(sol.f_vals)
-    cg = chebyshev_coefficients(sol.g_vals)
+    cf, cg = sol.coefficients
     return float(np.sum(cf)), float(np.sum(cg))
 
 
@@ -222,8 +210,7 @@ def stress_ahead(sol: DensitySolution, x):
     n = sol.disc.n
     s = sol.disc.nodes
     f, g = sol.f_vals, sol.g_vals
-    cf = chebyshev_coefficients(f)
-    cg = chebyshev_coefficients(g)
+    cf, cg = sol.coefficients
 
     cauchy_f = _exterior_cauchy(cf, t)
     if sol.classical_degenerate:

@@ -31,8 +31,10 @@ use the classical near-tip coefficients consistently.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg as _linalg
@@ -45,6 +47,7 @@ __all__ = [
     "Discretization",
     "DensitySolution",
     "SolverError",
+    "chebyshev_coefficients",
     "log_quadrature_weight",
     "assemble",
     "solve",
@@ -96,6 +99,13 @@ class Discretization:
     def build(cls, n: int) -> "Discretization":
         if n < 8:
             raise ValueError("need at least n = 8 integration nodes")
+        # checked before anything is allocated: an operating system that
+        # overcommits grants the memory and fails only when it is touched
+        need = 8.0 * (2.0 * n) ** 2
+        if need > _physical_memory():
+            raise ValueError(
+                f"n = {n} is too large: the 2n x 2n system needs "
+                f"{need / 2 ** 30:.3g} GiB, more than this machine's memory")
         i = np.arange(1, n + 1)
         s = np.cos((2 * i - 1) * np.pi / (2 * n))
         k = np.arange(1, n)
@@ -109,7 +119,9 @@ class DensitySolution:
 
     f_vals and g_vals are dimensionless (computed at mu = a = sigma0 = 1);
     the physical densities at xi = a*s_i are (sigma0/mu) * f_vals /
-    sqrt(1 - s_i^2) and likewise for g.
+    sqrt(1 - s_i^2) and likewise for g.  ``condition`` is LAPACK's 1-norm
+    condition estimate and ``residual`` the relative residual of the
+    system actually solved (see :func:`solve`).
     """
 
     f_vals: np.ndarray
@@ -117,7 +129,37 @@ class DensitySolution:
     problem: CrackProblem
     disc: Discretization
     condition: float
+    residual: float
     classical_degenerate: bool = False
+
+    @cached_property
+    def coefficients(self):
+        """(c_f, c_g): Chebyshev coefficients of the f and g interpolants.
+
+        Computed on first use and kept with the solution, so every
+        post-processing call on it shares one transform of each density.
+        """
+        return (chebyshev_coefficients(self.f_vals),
+                chebyshev_coefficients(self.g_vals))
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return np.inf
+
+
+def chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Coefficients c_j of the degree n-1 interpolant sum c_j T_j through
+    the nodal values at the zeros of T_n (plain cosine transform)."""
+    vals = np.asarray(vals, dtype=float)
+    n = vals.size
+    theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
+    c = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ vals
+    c[0] *= 0.5
+    return c
 
 
 def log_quadrature_weight(t, disc: Discretization, p):
@@ -164,19 +206,14 @@ def _normalized_kernels(dt, p):
     return k1n, k2n, k3n, lnp
 
 
-def assemble(problem: CrackProblem, disc: Discretization):
-    """Build the dense 2n x 2n collocation system (nondimensional).
+def _nu_free_system(disc: Discretization, p: float):
+    """The collocation system without its one nu-dependent term.
 
-    Unknown ordering [f(s_1)..f(s_n), g(s_1)..g(s_n)].  Rows 0..n-2 impose
-    the normal-stress condition at each collocation point, rows n-1..2n-3
-    the couple-stress condition, and the last two rows the closure sums
-    sum f = sum g = 0.  Returns (matrix, rhs) without row scaling.
+    Every block but the Cauchy term (3-2nu)/(2(1-nu)n)/(t - s) of the
+    normal-stress rows depends on (n, p) alone, so problems that differ
+    only in nu share this part.  Returns (matrix, rhs, dt) with
+    dt = t_k - s_i; :func:`_add_cauchy` completes the matrix for one nu.
     """
-    mat = problem.material
-    nu = mat.nu
-    p = problem.p
-    if not np.isfinite(p):
-        raise ValueError("assemble requires ell > 0; use solve_classical")
     n = disc.n
     s, t = disc.nodes, disc.collocation
     dt = t[:, None] - s[None, :]
@@ -194,8 +231,7 @@ def assemble(problem: CrackProblem, disc: Discretization):
     m = n - 1
 
     # normal-stress rows
-    a_mat[:m, :n] = (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt \
-        + (2.0 / n) * k1n
+    a_mat[:m, :n] = (2.0 / n) * k1n
     a_mat[:m, n:] = (lnp - k2n) / n + gn * lagrange / np.pi
     rhs[:m] = -1.0
 
@@ -209,6 +245,43 @@ def assemble(problem: CrackProblem, disc: Discretization):
     # closure rows
     a_mat[2 * m, :n] = 1.0
     a_mat[2 * m + 1, n:] = 1.0
+    return a_mat, rhs, dt
+
+
+def _add_cauchy(a_mat: np.ndarray, dt: np.ndarray, nu: float) -> np.ndarray:
+    """Add the nu-dependent Cauchy term to a :func:`_nu_free_system`
+    matrix, in place; returns the matrix."""
+    m, n = dt.shape
+    a_mat[:m, :n] += (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt
+    return a_mat
+
+
+def assemble(problem: CrackProblem, disc: Discretization):
+    """Build the dense 2n x 2n collocation system (nondimensional).
+
+    Unknown ordering [f(s_1)..f(s_n), g(s_1)..g(s_n)].  Rows 0..n-2 impose
+    the normal-stress condition at each collocation point, rows n-1..2n-3
+    the couple-stress condition, and the last two rows the closure sums
+    sum f = sum g = 0.  Returns (matrix, rhs) without row scaling.
+    """
+    p = problem.p
+    if not np.isfinite(p):
+        raise ValueError("assemble requires ell > 0; use solve_classical")
+    a_mat, rhs, dt = _nu_free_system(disc, p)
+    return _add_cauchy(a_mat, dt, problem.material.nu), rhs
+
+
+def _classical_system(problem: CrackProblem, disc: Discretization):
+    """(matrix, rhs) of the n x n classical collocation system."""
+    nu = problem.material.nu
+    n = disc.n
+    s, t = disc.nodes, disc.collocation
+    dt = t[:, None] - s[None, :]
+    a_mat = np.zeros((n, n))
+    rhs = np.zeros(n)
+    a_mat[:n - 1] = 1.0 / (2.0 * (1.0 - nu) * n) / dt
+    rhs[:n - 1] = -1.0
+    a_mat[n - 1] = 1.0
     return a_mat, rhs
 
 
@@ -219,82 +292,117 @@ def solve_classical(problem: CrackProblem, disc: Discretization) -> np.ndarray:
     -sigma0 = mu/(2 pi (1-nu)) int B/(x-xi) dxi, whose discrete solution
     at the nodes is exactly f(s) = 2 (1-nu) s (nondimensional).
     """
-    nu = problem.material.nu
-    n = disc.n
-    s, t = disc.nodes, disc.collocation
-    dt = t[:, None] - s[None, :]
-    a_mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    a_mat[:n - 1] = 1.0 / (2.0 * (1.0 - nu) * n) / dt
-    rhs[:n - 1] = -1.0
-    a_mat[n - 1] = 1.0
-    return _linalg.solve(a_mat, rhs)
+    return _factor_solve(*_classical_system(problem, disc),
+                         f"n = {disc.n}, nu = {problem.material.nu:g}")[0]
 
 
-def solve(problem: CrackProblem, disc: Discretization,
-          degenerate_threshold: float | None = None) -> DensitySolution:
-    """Solve the discrete system by dense LU with partial pivoting.
+def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
+    """Solve a_mat x = rhs from one LU factorization and check it.
 
-    Falls back to the classical degenerate system for p above
-    ``degenerate_threshold`` (default 2n, the resolvability limit of the
-    couple-stress kernels on this grid); the returned solution is marked
-    ``classical_degenerate`` and has g identically zero.
-
-    Raises
-    ------
-    SolverError
-        If the system has non-finite coefficients (a/ell so small that
-        2/(a/ell)^2 overflows), the equilibrated matrix is ill-conditioned
-        (estimate above 1e12) or the solution fails the 1e-10
-        relative-residual check.
+    The same factors give LAPACK's 1-norm condition estimate (gecon;
+    Hager 1984, Higham 1988), which does not exceed kappa_1 and is rarely
+    below a third of it.  Returns (x, condition, relative residual).
     """
-    p = problem.p
-    nu = problem.material.nu
+    lu_piv = _linalg.lu_factor(a_mat, check_finite=False)
+    rcond, _ = _linalg.lapack.dgecon(lu_piv[0], np.linalg.norm(a_mat, 1),
+                                     norm="1")
+    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SolverError(
+            f"ill-conditioned crack system (cond ~ {cond:.2e}) at {where}")
+    x = _linalg.lu_solve(lu_piv, rhs, check_finite=False)
+    residual = np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs)
+    if not residual < 1e-10:
+        raise SolverError(
+            f"density solve residual {residual:.2e} exceeds 1e-10 "
+            f"at {where}")
+    return x, float(cond), float(residual)
+
+
+def _solve_shared(problems, disc: Discretization,
+                  degenerate_threshold: float | None = None):
+    """Solve problems that share the size ratio p = a/ell on one grid.
+
+    The nu-free part of their systems is built once, each problem is
+    factored once, and the shared kernels are freed on return.  Returns
+    one :class:`DensitySolution` per problem, in order; :func:`solve`
+    documents the rest.
+    """
+    p = problems[0].p
+    if any(prob.p != p for prob in problems):
+        raise ValueError("problems solved together must share a/ell")
     n = disc.n
     threshold = 2.0 * n if degenerate_threshold is None else degenerate_threshold
+
+    def where(prob):
+        return f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}"
 
     if p > threshold:
         if np.isfinite(p):
             warnings.warn(
                 f"a/ell = {p:g} exceeds the kernel resolvability limit "
                 f"{threshold:g} at n = {n}; solving the classical "
-                "degenerate system instead", RuntimeWarning, stacklevel=2)
-        f = solve_classical(problem, disc)
-        return DensitySolution(f_vals=f, g_vals=np.zeros(n),
-                               problem=problem, disc=disc,
-                               condition=float(n),
-                               classical_degenerate=True)
+                "degenerate system instead", RuntimeWarning, stacklevel=3)
+        sols = []
+        for prob in problems:
+            f, cond, residual = _factor_solve(
+                *_classical_system(prob, disc), where(prob))
+            sols.append(DensitySolution(
+                f_vals=f, g_vals=np.zeros(n), problem=prob, disc=disc,
+                condition=cond, residual=residual,
+                classical_degenerate=True))
+        return sols
 
-    a_mat, rhs = assemble(problem, disc)
-    if not np.all(np.isfinite(a_mat)):
+    base, rhs, dt = _nu_free_system(disc, p)
+    if not np.all(np.isfinite(base)):
         raise SolverError(
             f"crack system has non-finite coefficients at n = {n}, "
-            f"p = {p:g}, nu = {nu:g}: a/ell is too small for 2/(a/ell)^2")
+            f"p = {p:g}: a/ell is too small for 2/(a/ell)^2")
     if p < _P_WARN:
         warnings.warn(
             f"a/ell = {p:g} is far below 1; the continuum premise "
             "a >> ell is strained but the system is still solved",
-            RuntimeWarning, stacklevel=2)
+            RuntimeWarning, stacklevel=3)
 
-    # row equilibration keeps the condition number flat across the many
-    # orders of magnitude spanned by the 2/p^2 couple-stress prefactor
-    scale = np.max(np.abs(a_mat), axis=1)
-    a_eq = a_mat / scale[:, None]
-    rhs_eq = rhs / scale
+    sols = []
+    for prob in problems:
+        a_eq = _add_cauchy(base.copy(), dt, prob.material.nu)
+        # row equilibration keeps the condition number flat across the
+        # many orders of magnitude spanned by the 2/p^2 couple-stress
+        # prefactor
+        scale = np.max(np.abs(a_eq), axis=1)
+        a_eq /= scale[:, None]
+        x, cond, residual = _factor_solve(a_eq, rhs / scale, where(prob))
+        sols.append(DensitySolution(
+            f_vals=x[:n], g_vals=x[n:], problem=prob, disc=disc,
+            condition=cond, residual=residual))
+    return sols
 
-    cond = np.linalg.cond(a_eq)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SolverError(
-            f"ill-conditioned crack system (cond ~ {cond:.2e}) "
-            f"at n = {n}, p = {p:g}, nu = {nu:g}")
-    x = _linalg.solve(a_eq, rhs_eq)
-    residual = np.linalg.norm(a_eq @ x - rhs_eq) / np.linalg.norm(rhs_eq)
-    if not residual < 1e-10:
-        raise SolverError(
-            f"density solve residual {residual:.2e} exceeds 1e-10 "
-            f"at n = {n}, p = {p:g}, nu = {nu:g}")
-    return DensitySolution(f_vals=x[:n], g_vals=x[n:], problem=problem,
-                           disc=disc, condition=float(cond))
+
+def solve(problem: CrackProblem, disc: Discretization,
+          degenerate_threshold: float | None = None) -> DensitySolution:
+    """Solve the discrete system by dense LU with partial pivoting.
+
+    The rows are equilibrated and factored once.  The factors give both
+    the solution and ``condition``, LAPACK's 1-norm condition estimate
+    (gecon) of the equilibrated matrix; ``residual`` is the relative
+    residual of the equilibrated system.
+
+    Falls back to the classical degenerate system for p above
+    ``degenerate_threshold`` (default 2n, the resolvability limit of the
+    couple-stress kernels on this grid); the returned solution is marked
+    ``classical_degenerate`` and has g identically zero, and its
+    ``condition`` and ``residual`` are those of the unscaled classical
+    system.
+
+    Raises
+    ------
+    SolverError
+        If the system has non-finite coefficients (a/ell so small that
+        2/(a/ell)^2 overflows), the condition estimate exceeds 1e12 or
+        the solution fails the 1e-10 relative-residual check.
+    """
+    return _solve_shared([problem], disc, degenerate_threshold)[0]
 
 
 def convergence_sweep(problem: CrackProblem, ns=(32, 64, 128, 256),

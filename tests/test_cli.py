@@ -1,6 +1,7 @@
 """Command-line driver: files, formats, determinism, exit codes."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -33,8 +34,9 @@ def test_solve_writes_all_outputs(tmp_path):
         assert (tmp_path / name).exists(), name
     summary = json.loads((tmp_path / "summary.json").read_text())
     for key in ("f1", "g1", "K_I", "K_I_ratio", "J", "J_ratio", "n",
-                "condition"):
+                "condition", "residual"):
         assert key in summary
+    assert 0.0 <= summary["residual"] < 1e-10
     assert 1.0 < summary["K_I_ratio"] < 1.35
     assert summary["n"] == 96
 
@@ -141,6 +143,130 @@ def test_sweep_outputs_and_flags(tmp_path):
     for rec in mono.values():
         assert rec["K_ratio_strictly_decreasing_in_ell_over_a"] is True
         assert rec["J_below_classical"] is True
+
+
+def test_sweep_rows_match_independent_solves(tmp_path):
+    # sweep solves the nus of one p together; each row must still be what
+    # `solve` reports for that (nu, p), at the CSV's 12 digits
+    assert main(["sweep", "--p-min", "2", "--p-max", "6", "--p-steps", "3",
+                 "--nu-list", "0.5,0,0.25", "--n", "32",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    _, rows = _read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert len(rows["p"]) == 9
+    for p, nu, kr, jr in zip(rows["p"], rows["nu"], rows["K_I_ratio"],
+                             rows["J_ratio"]):
+        out = tmp_path / f"solve-{p:g}-{nu:g}"
+        assert main(["solve", "--nu", repr(float(nu)), "--p", repr(float(p)),
+                     "--n", "32", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert kr == float(format(summary["K_I_ratio"], ".12g")), (p, nu)
+        assert jr == float(format(summary["J_ratio"], ".12g")), (p, nu)
+
+
+def test_sweep_rejects_scale_flags(tmp_path, capsys):
+    # the ratios do not depend on a, sigma0 or mu, and the summary is
+    # always JSON, so sweep has none of these flags
+    base = ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "2",
+            "--n", "16", "--out", str(tmp_path / "never")]
+    for flag, value in (("--a", "3"), ("--sigma0", "2"), ("--mu", "7"),
+                        ("--format", "csv")):
+        assert main(base + [flag, value]) == 1, flag
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err, flag
+        assert not (tmp_path / "never").exists()
+
+
+def _fuzz_argv(rng):
+    """One random, often malformed, command line (without --out)."""
+    def pick(values):
+        return values[rng.integers(len(values))]
+
+    nums = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1e-7",
+            "0.3", "5", "abc"]
+    # n stays small or far beyond any memory, so no case allocates much
+    ns = ["8", "16", "16", "24", "7", "-3", "100000000000", "1e3"]
+    command = pick(["solve", "sweep", "baseline"])
+    argv = [command, "--n", pick(ns)]
+    flags = {"--nu": nums + ["0.5", "0.49", "-0.99"]}
+    if command != "sweep":
+        flags.update({"--sigma0": nums, "--a": nums, "--mu": nums,
+                      "--format": ["csv", "json", "xml"],
+                      "--profile-samples": ["3", "1", "-2", "5"]})
+    if command == "solve":
+        flags.update({"--p": nums + ["40", "1e4"],
+                      "--neartip-samples": ["0", "4", "-1"]})
+    if command == "sweep":
+        # sweep has no scale flags: each of these is a usage error
+        flags.update({"--p-min": nums, "--p-max": nums + ["1e4"],
+                      "--p-steps": ["1", "2", "0"],
+                      "--nu-list": ["0,0.5", "0.3", "", "x,1", "nan"],
+                      "--a": ["2"], "--sigma0": ["2"], "--mu": ["2"],
+                      "--format": ["csv"]})
+    names = sorted(flags)
+    for k in rng.permutation(len(names))[:rng.integers(1, 5)]:
+        argv += [names[k], pick(flags[names[k]])]
+    if command == "sweep" and "--p-steps" not in argv:
+        argv += ["--p-min", "1", "--p-max", "3", "--p-steps", "2"]
+    if command == "sweep" and rng.random() < 0.5:
+        argv.append("--log-spaced")
+    return argv
+
+
+def _all_finite(out):
+    for path in out.iterdir():
+        text = path.read_text()
+        if path.suffix == ".json":
+            stack = [json.loads(text)]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, dict):
+                    stack.extend(node.values())
+                elif isinstance(node, float) and not math.isfinite(node):
+                    return False
+        else:
+            rows = [ln for ln in text.splitlines() if not ln.startswith("#")]
+            if not all(math.isfinite(float(v))
+                       for ln in rows[1:] for v in ln.split(",")):
+                return False
+    return True
+
+
+def test_cli_fuzz_exit_contract(tmp_path, capsys):
+    explicit = [
+        ["solve", "--n", "100000000000"],
+        ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "2",
+         "--n", "100000000000"],
+        ["baseline", "--n", "100000000000"],
+        ["solve", "--p", "nan"], ["solve", "--p", "inf"],
+        ["solve", "--p", "-inf"], ["solve", "--p", "1e300", "--n", "16"],
+        ["sweep", "--p-min", "nan", "--p-max", "2", "--p-steps", "2"],
+        ["sweep", "--p-min", "1", "--p-max", "inf", "--p-steps", "2"],
+        ["solve", "--sigma0", "0", "--n", "16"],
+        ["solve", "--sigma0", "1e300", "--mu", "1e-300", "--n", "16"],
+        ["solve", "--a", "1e-310", "--n", "16"],
+    ]
+    rng = np.random.default_rng(20261018)
+    cases = explicit + [_fuzz_argv(rng) for _ in range(120)]
+    codes = set()
+    for k, argv in enumerate(cases):
+        out = tmp_path / f"case{k}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        codes.add(rc)
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        if rc == 0:
+            assert _all_finite(out), argv
+        else:
+            assert err.count("\n") == 1, argv
+            assert not out.exists(), argv
+    assert codes == {0, 1, 2}
+    # huge n: rejected before anything is allocated
+    for argv in explicit[:3]:
+        assert main(argv + ["--out", str(tmp_path / "never")]) == 1
+        assert "too large" in capsys.readouterr().err
 
 
 def test_sweep_empty_range_errors(tmp_path):

@@ -17,7 +17,7 @@ def _fake_solution(fvals, gvals, nu=0.3, p=10.0, n=None):
     return DensitySolution(f_vals=np.asarray(fvals, float),
                            g_vals=np.asarray(gvals, float),
                            problem=prob, disc=Discretization.build(n),
-                           condition=1.0)
+                           condition=1.0, residual=0.0)
 
 
 def _j_classical(prob):

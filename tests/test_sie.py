@@ -1,5 +1,7 @@
 """Quadrature identities, kernels, assembly and the density solve."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -8,7 +10,8 @@ from cscrack import (CrackProblem, Discretization, MaterialParams,
                      assemble, k3_reg, log_quadrature_weight, solve,
                      solve_classical)
 from cscrack.post import endpoint_values
-from cscrack.sie import _normalized_kernels
+from cscrack.sie import (_classical_system, _normalized_kernels,
+                         _solve_shared)
 
 EG = np.euler_gamma
 
@@ -283,11 +286,53 @@ def test_solve_residual_is_tiny(solve_case):
     x = np.concatenate([sol.f_vals, sol.g_vals])
     res = np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
+    assert 0.0 <= sol.residual < 1e-10
+
+
+def _kappa_1(a_mat):
+    return np.linalg.norm(a_mat, 1) * np.linalg.norm(np.linalg.inv(a_mat), 1)
 
 
 def test_condition_indicator_reported(solve_case):
     sol = solve_case(0.3, 10.0, 128)
     assert 1.0 < sol.condition < 1e6
+    # LAPACK's estimate from the solve's own LU factors: a lower bound on
+    # the exact kappa_1 of the equilibrated matrix, rarely below a third
+    for nu, p, n in ((0.3, 10.0, 128), (0.0, 0.01, 64), (0.5, 100.0, 129),
+                     (0.25, 1.0, 32), (0.3, 250.0, 128)):
+        sol = solve_case(nu, p, n)
+        a_mat, _ = assemble(sol.problem, sol.disc)
+        kappa = _kappa_1(a_mat / np.max(np.abs(a_mat), axis=1)[:, None])
+        assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), (nu, p)
+    # past the degenerate switch: the unscaled classical system
+    sol = solve_case(0.3, 1e4, 64)
+    assert sol.classical_degenerate
+    kappa = _kappa_1(_classical_system(sol.problem, sol.disc)[0])
+    assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9)
+
+
+def test_shared_solves_match_independent_solves():
+    # what `cscrack sweep` does: the nus of one p share their kernels
+    d = Discretization.build(48)
+    nus = (0.0, 0.3, 0.5, 0.3)
+    for p in (0.05, 1.0, 30.0, 200.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            shared = _solve_shared([_problem(nu, p) for nu in nus], d)
+            refs = [solve(_problem(nu, p), d) for nu in nus]
+        for nu, sol, ref in zip(nus, shared, refs):
+            assert sol.problem.material.nu == nu
+            assert sol.classical_degenerate == ref.classical_degenerate
+            for got, want in ((sol.f_vals, ref.f_vals),
+                              (sol.g_vals, ref.g_vals)):
+                scale = max(np.abs(want).max(), 1e-300)
+                assert np.abs(got - want).max() <= 1e-13 * scale, (nu, p)
+            assert endpoint_values(sol) == pytest.approx(
+                endpoint_values(ref), rel=1e-13, abs=1e-300)
+            assert sol.condition == pytest.approx(ref.condition, rel=1e-13)
+            assert sol.residual <= 1e-10
+    with pytest.raises(ValueError, match="share a/ell"):
+        _solve_shared([_problem(0.3, 1.0), _problem(0.3, 2.0)], d)
 
 
 def test_endpoint_self_convergence(solve_case):
