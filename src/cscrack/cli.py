@@ -30,7 +30,11 @@ class ConfigError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with status 1."""
+    """argparse variant whose usage errors exit with status 1 and which
+    takes no abbreviated options (``--nu`` never means ``--nu-list``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
@@ -121,6 +125,11 @@ def _cmd_solve(args) -> int:
     scale_u = prob.material.mu / (args.sigma0 * args.a)
     ell = prob.material.ell
     xbar = ell * np.geomspace(1e-3, 20.0, args.neartip_samples)
+    if not np.all((args.a + xbar) / args.a > 1.0):
+        # ell is below the resolution of x near the tip, so the grid
+        # would round onto x = a: sample the grid of a/ell = 1e12 instead
+        xbar = 1e-12 * args.a * np.geomspace(1e-3, 20.0,
+                                             args.neartip_samples)
     syy, myz = stress_ahead(sol, args.a + xbar)
     tables = {
         "densities.csv": {
@@ -228,13 +237,16 @@ def _cmd_field(args) -> int:
     names = ("x", "y", "sxx", "syy", "sxy", "syx", "mxz", "myz",
              "ux", "uy", "omega")
     data = {name: [] for name in names}
-    for y in ys:
-        for x in xs:
-            st = full_field(float(x), float(y), charge, mat)
-            vals = (x, y, st.sxx, st.syy, st.sxy, st.syx, st.mxz, st.myz,
-                    st.ux, st.uy, st.omega)
-            for name, v in zip(names, vals):
-                data[name].append(v)
+    # an extreme ell overflows the Bessel terms; _write_outputs reports the
+    # non-finite result as one line, so numpy need not warn first
+    with np.errstate(all="ignore"):
+        for y in ys:
+            for x in xs:
+                st = full_field(float(x), float(y), charge, mat)
+                vals = (x, y, st.sxx, st.syy, st.sxy, st.syx, st.mxz,
+                        st.myz, st.ux, st.uy, st.omega)
+                for name, v in zip(names, vals):
+                    data[name].append(v)
     out = Path(args.out)
     _write_outputs(out, config, {"field.csv": data})
     print(f"field: {len(xs) * len(ys)} points -> {out / 'field.csv'}")
@@ -271,11 +283,13 @@ def _build_parser() -> _Parser:
                      description="couple-stress mode-I crack solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_p=True, scales=True):
+    def common(sp, with_nu=True, with_p=True, scales=True):
         """Shared options; ``scales`` adds the crack and material scales
-        and the summary format, which sweep's ratios do not depend on."""
-        sp.add_argument("--nu", type=float, default=0.3,
-                        help="Poisson ratio")
+        and the summary format, which sweep's ratios do not depend on.
+        sweep takes its Poisson ratios from --nu-list alone."""
+        if with_nu:
+            sp.add_argument("--nu", type=float, default=0.3,
+                            help="Poisson ratio")
         if with_p:
             sp.add_argument("--p", type=float, default=10.0,
                             help="size ratio a/ell")
@@ -300,7 +314,7 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("sweep", help="sweep the size ratio a/ell")
-    common(sp, with_p=False, scales=False)
+    common(sp, with_nu=False, with_p=False, scales=False)
     sp.add_argument("--p-min", type=float, required=True)
     sp.add_argument("--p-max", type=float, required=True)
     sp.add_argument("--p-steps", type=int, required=True)

@@ -13,9 +13,16 @@ B = f(s)/sqrt(1-s^2), W = g(s)/sqrt(1-s^2) (s = xi/a) the system is
 discretized by Gauss-Chebyshev quadrature: integration nodes at the zeros
 of T_n, collocation at the zeros of U_{n-1}, and a quadrature correction
 G_n(t) for the logarithmic kernel that makes the log rule exact for
-constant densities (see :func:`log_quadrature_weight`).  The result is a
-square dense system of 2n equations: 2(n-1) collocation rows plus the two
-closure rows.
+constant densities (see :func:`log_quadrature_weight`).
+
+Mode-I symmetry makes f exactly odd and g exactly even, so half of the
+2n collocation equations repeat the other half.  The system solved is the
+parity-reduced one, square n x n and built directly: unknowns f at the
+nodes s > 0 and g at s >= 0, normal-stress rows at t >= 0, couple-stress
+rows at t > 0 (the one at t = 0 vanishes identically) and the sum-g
+closure (the sum-f closure holds by oddness).  Each kernel is evaluated
+once, at t - s and t + s for the kept t and s.  The full nodal f and g
+follow by odd and even extension.
 
 Everything is assembled in nondimensional form (mu = a = sigma0 = 1); the
 only material inputs are nu and p = a/ell.  Post-processing rescales.
@@ -101,10 +108,10 @@ class Discretization:
             raise ValueError("need at least n = 8 integration nodes")
         # checked before anything is allocated: an operating system that
         # overcommits grants the memory and fails only when it is touched
-        need = 8.0 * (2.0 * n) ** 2
+        need = 8.0 * float(n) ** 2
         if need > _physical_memory():
             raise ValueError(
-                f"n = {n} is too large: the 2n x 2n system needs "
+                f"n = {n} is too large: the n x n system needs "
                 f"{need / 2 ** 30:.3g} GiB, more than this machine's memory")
         i = np.arange(1, n + 1)
         s = np.cos((2 * i - 1) * np.pi / (2 * n))
@@ -119,9 +126,11 @@ class DensitySolution:
 
     f_vals and g_vals are dimensionless (computed at mu = a = sigma0 = 1);
     the physical densities at xi = a*s_i are (sigma0/mu) * f_vals /
-    sqrt(1 - s_i^2) and likewise for g.  ``condition`` is LAPACK's 1-norm
-    condition estimate and ``residual`` the relative residual of the
-    system actually solved (see :func:`solve`).
+    sqrt(1 - s_i^2) and likewise for g.  Both hold all n nodes, extended
+    from the parity-reduced unknowns, so f is exactly odd and g exactly
+    even.  ``condition`` is LAPACK's 1-norm condition estimate and
+    ``residual`` the relative residual of the n x n system actually
+    solved (see :func:`solve`).
     """
 
     f_vals: np.ndarray
@@ -206,83 +215,117 @@ def _normalized_kernels(dt, p):
     return k1n, k2n, k3n, lnp
 
 
+def _unfold(x: np.ndarray, n: int):
+    """(f, g) at all n nodes from the reduced unknowns
+    x = [f at s_i > 0, g at s_i >= 0]: f odd and g even, bitwise."""
+    nf = n // 2
+    f, g = x[:nf], x[nf:]
+    return (np.concatenate([f, np.zeros(n - 2 * nf), -f[::-1]]),
+            np.concatenate([g, g[:nf][::-1]]))
+
+
 def _nu_free_system(disc: Discretization, p: float):
-    """The collocation system without its one nu-dependent term.
+    """The parity-reduced system without its one nu-dependent term.
 
     Every block but the Cauchy term (3-2nu)/(2(1-nu)n)/(t - s) of the
     normal-stress rows depends on (n, p) alone, so problems that differ
-    only in nu share this part.  Returns (matrix, rhs, dt) with
-    dt = t_k - s_i; :func:`_add_cauchy` completes the matrix for one nu.
+    only in nu share this part.  Returns (matrix, rhs, cauchy) with
+    cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
+    :func:`_add_cauchy` scales for one nu.
     """
     n = disc.n
-    s, t = disc.nodes, disc.collocation
-    dt = t[:, None] - s[None, :]
+    # nf unknowns f at s_i > 0 (f(0) = 0 for odd n) and ng unknowns g at
+    # s_i >= 0; nf normal-stress rows at t_k >= 0, mc couple-stress rows
+    # at t_k > 0 and the closure row: nf + mc + 1 = nf + ng = n
+    nf, ng, mc = n // 2, (n + 1) // 2, (n - 1) // 2
+    s, t = disc.nodes[:ng], disc.collocation[:nf]
+    # one kernel pass: t - s over s >= 0, then t + s = t - (-s) over s > 0
+    dt = t[:, None] - np.concatenate([s, -s[:nf]])[None, :]
+
+    def odd(block):
+        # f(-s) = -f(s): the column at -s enters with the opposite sign
+        return block[:, :nf] - block[:, ng:]
+
+    def even(block):
+        # g(-s) = g(s); the s = 0 column of odd n has no mirror
+        out = block[:, :ng].copy()
+        out[:, :nf] += block[:, ng:]
+        return out
 
     k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
     # log_quadrature_weight at every U_{n-1} zero: a constant
     gn = -np.pi * np.log(2.0) / n
-    tn_t = (-1.0) ** np.arange(1, n)            # T_n at the U_{n-1} zeros
+    tn_t = (-1.0) ** np.arange(1, nf + 1)       # T_n at the kept t_k
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     tprime = n * (-1.0) ** np.arange(n) / np.sin(theta)   # T_n'(s_i)
+    # T_n' at the kept nodes, then at their mirrors -s_i = s_{n+1-i}
+    tprime = np.concatenate([tprime[:ng], tprime[::-1][:nf]])
     lagrange = tn_t[:, None] / (dt * tprime[None, :])
+    recip = 1.0 / dt
 
-    a_mat = np.zeros((2 * n, 2 * n))
-    rhs = np.zeros(2 * n)
-    m = n - 1
+    a_mat = np.zeros((n, n))
+    rhs = np.zeros(n)
 
-    # normal-stress rows
-    a_mat[:m, :n] = (2.0 / n) * k1n
-    a_mat[:m, n:] = (lnp - k2n) / n + gn * lagrange / np.pi
-    rhs[:m] = -1.0
+    # normal-stress rows at t_k >= 0
+    log_block = (lnp - k2n) / n + gn * lagrange / np.pi
+    a_mat[:nf, :nf] = (2.0 / n) * odd(k1n)
+    a_mat[:nf, nf:] = even(log_block)
+    rhs[:nf] = -1.0
 
-    # couple-stress rows; the log/k2 coupling block is shared
-    a_mat[m:2 * m, :n] = a_mat[:m, n:]
-    # 2/p/p rather than 2/p^2: inf, not ZeroDivisionError, if p^2
-    # underflows; solve() rejects the non-finite system
-    with np.errstate(over="ignore"):
-        a_mat[m:2 * m, n:] = -2.0 / p / p / n / dt + k3n / (2.0 * p * n)
+    # couple-stress rows at t_k > 0 (the row at t = 0 is odd in t and
+    # vanishes); the log/k2 coupling block is shared.  2/p/p rather than
+    # 2/p^2: inf, not ZeroDivisionError, if p^2 underflows; solve()
+    # rejects the non-finite system
+    a_mat[nf:n - 1, :nf] = odd(log_block[:mc])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mat[nf:n - 1, nf:] = even(-2.0 / p / p / n * recip[:mc]
+                                    + k3n[:mc] / (2.0 * p * n))
 
-    # closure rows
-    a_mat[2 * m, :n] = 1.0
-    a_mat[2 * m + 1, n:] = 1.0
-    return a_mat, rhs, dt
+    # closure sum g = 0 over all n nodes; sum f = 0 holds by oddness
+    a_mat[n - 1, nf:] = 2.0
+    a_mat[n - 1, 2 * nf:] = 1.0   # the s = 0 node of odd n
+    return a_mat, rhs, odd(recip)
 
 
-def _add_cauchy(a_mat: np.ndarray, dt: np.ndarray, nu: float) -> np.ndarray:
+def _add_cauchy(a_mat: np.ndarray, cauchy: np.ndarray,
+                nu: float) -> np.ndarray:
     """Add the nu-dependent Cauchy term to a :func:`_nu_free_system`
     matrix, in place; returns the matrix."""
-    m, n = dt.shape
-    a_mat[:m, :n] += (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt
+    nf, n = cauchy.shape[0], a_mat.shape[0]
+    a_mat[:nf, :nf] += (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) * cauchy
     return a_mat
 
 
 def assemble(problem: CrackProblem, disc: Discretization):
-    """Build the dense 2n x 2n collocation system (nondimensional).
+    """Build the dense n x n parity-reduced collocation system
+    (nondimensional).
 
-    Unknown ordering [f(s_1)..f(s_n), g(s_1)..g(s_n)].  Rows 0..n-2 impose
-    the normal-stress condition at each collocation point, rows n-1..2n-3
-    the couple-stress condition, and the last two rows the closure sums
-    sum f = sum g = 0.  Returns (matrix, rhs) without row scaling.
+    The mode-I densities are exactly f odd and g even, so the unknowns
+    are [f(s_i) for s_i > 0, g(s_i) for s_i >= 0], n//2 and (n+1)//2 of
+    them, nodes in descending order.  The column of a node s_i > 0
+    gathers the kernels at t - s_i and t + s_i.  Rows 0..n//2-1 impose
+    the normal-stress condition at the collocation points t_k >= 0, the
+    next (n-1)//2 rows the couple-stress condition at t_k > 0, and the
+    last row the closure sum g = 0 (weight 2 on s > 0, 1 on s = 0); the
+    sum f = 0 closure holds by oddness.  Returns (matrix, rhs) without
+    row scaling.
     """
     p = problem.p
     if not np.isfinite(p):
         raise ValueError("assemble requires ell > 0; use solve_classical")
-    a_mat, rhs, dt = _nu_free_system(disc, p)
-    return _add_cauchy(a_mat, dt, problem.material.nu), rhs
+    a_mat, rhs, cauchy = _nu_free_system(disc, p)
+    return _add_cauchy(a_mat, cauchy, problem.material.nu), rhs
 
 
 def _classical_system(problem: CrackProblem, disc: Discretization):
-    """(matrix, rhs) of the n x n classical collocation system."""
+    """(matrix, rhs) of the n//2 x n//2 parity-reduced classical system:
+    f odd, unknowns at s_i > 0, Cauchy rows at t_k >= 0."""
     nu = problem.material.nu
     n = disc.n
-    s, t = disc.nodes, disc.collocation
-    dt = t[:, None] - s[None, :]
-    a_mat = np.zeros((n, n))
-    rhs = np.zeros(n)
-    a_mat[:n - 1] = 1.0 / (2.0 * (1.0 - nu) * n) / dt
-    rhs[:n - 1] = -1.0
-    a_mat[n - 1] = 1.0
-    return a_mat, rhs
+    nf = n // 2
+    s, t = disc.nodes[:nf], disc.collocation[:nf]
+    cauchy = 1.0 / (t[:, None] - s[None, :]) - 1.0 / (t[:, None] + s[None, :])
+    return cauchy / (2.0 * (1.0 - nu) * n), -np.ones(nf)
 
 
 def solve_classical(problem: CrackProblem, disc: Discretization) -> np.ndarray:
@@ -292,8 +335,9 @@ def solve_classical(problem: CrackProblem, disc: Discretization) -> np.ndarray:
     -sigma0 = mu/(2 pi (1-nu)) int B/(x-xi) dxi, whose discrete solution
     at the nodes is exactly f(s) = 2 (1-nu) s (nondimensional).
     """
-    return _factor_solve(*_classical_system(problem, disc),
-                         f"n = {disc.n}, nu = {problem.material.nu:g}")[0]
+    x = _factor_solve(*_classical_system(problem, disc),
+                      f"n = {disc.n}, nu = {problem.material.nu:g}")[0]
+    return _unfold(x, disc.n)[0]
 
 
 def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
@@ -345,15 +389,15 @@ def _solve_shared(problems, disc: Discretization,
                 "degenerate system instead", RuntimeWarning, stacklevel=3)
         sols = []
         for prob in problems:
-            f, cond, residual = _factor_solve(
+            x, cond, residual = _factor_solve(
                 *_classical_system(prob, disc), where(prob))
             sols.append(DensitySolution(
-                f_vals=f, g_vals=np.zeros(n), problem=prob, disc=disc,
-                condition=cond, residual=residual,
+                f_vals=_unfold(x, n)[0], g_vals=np.zeros(n), problem=prob,
+                disc=disc, condition=cond, residual=residual,
                 classical_degenerate=True))
         return sols
 
-    base, rhs, dt = _nu_free_system(disc, p)
+    base, rhs, cauchy = _nu_free_system(disc, p)
     if not np.all(np.isfinite(base)):
         raise SolverError(
             f"crack system has non-finite coefficients at n = {n}, "
@@ -366,15 +410,16 @@ def _solve_shared(problems, disc: Discretization,
 
     sols = []
     for prob in problems:
-        a_eq = _add_cauchy(base.copy(), dt, prob.material.nu)
+        a_eq = _add_cauchy(base.copy(), cauchy, prob.material.nu)
         # row equilibration keeps the condition number flat across the
         # many orders of magnitude spanned by the 2/p^2 couple-stress
         # prefactor
         scale = np.max(np.abs(a_eq), axis=1)
         a_eq /= scale[:, None]
         x, cond, residual = _factor_solve(a_eq, rhs / scale, where(prob))
+        f, g = _unfold(x, n)
         sols.append(DensitySolution(
-            f_vals=x[:n], g_vals=x[n:], problem=prob, disc=disc,
+            f_vals=f, g_vals=g, problem=prob, disc=disc,
             condition=cond, residual=residual))
     return sols
 
@@ -383,17 +428,19 @@ def solve(problem: CrackProblem, disc: Discretization,
           degenerate_threshold: float | None = None) -> DensitySolution:
     """Solve the discrete system by dense LU with partial pivoting.
 
-    The rows are equilibrated and factored once.  The factors give both
-    the solution and ``condition``, LAPACK's 1-norm condition estimate
-    (gecon) of the equilibrated matrix; ``residual`` is the relative
-    residual of the equilibrated system.
+    The n x n parity-reduced system (see :func:`assemble`) is
+    equilibrated by rows and factored once.  The factors give both the
+    solution and ``condition``, LAPACK's 1-norm condition estimate
+    (gecon) of the folded, equilibrated matrix; ``residual`` is the
+    relative residual of that system.  The returned f and g hold all n
+    nodes, f odd and g even.
 
     Falls back to the classical degenerate system for p above
     ``degenerate_threshold`` (default 2n, the resolvability limit of the
     couple-stress kernels on this grid); the returned solution is marked
     ``classical_degenerate`` and has g identically zero, and its
-    ``condition`` and ``residual`` are those of the unscaled classical
-    system.
+    ``condition`` and ``residual`` are those of the unscaled, folded
+    n//2 x n//2 classical system.
 
     Raises
     ------

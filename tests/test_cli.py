@@ -165,11 +165,12 @@ def test_sweep_rows_match_independent_solves(tmp_path):
 
 def test_sweep_rejects_scale_flags(tmp_path, capsys):
     # the ratios do not depend on a, sigma0 or mu, and the summary is
-    # always JSON, so sweep has none of these flags
+    # always JSON, so sweep has none of these flags; its Poisson ratios
+    # come from --nu-list alone, and --nu is no abbreviation of it
     base = ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "2",
             "--n", "16", "--out", str(tmp_path / "never")]
     for flag, value in (("--a", "3"), ("--sigma0", "2"), ("--mu", "7"),
-                        ("--format", "csv")):
+                        ("--format", "csv"), ("--nu", "0.1")):
         assert main(base + [flag, value]) == 1, flag
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, flag
@@ -238,20 +239,33 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
          "--n", "100000000000"],
         ["baseline", "--n", "100000000000"],
         ["solve", "--p", "nan"], ["solve", "--p", "inf"],
-        ["solve", "--p", "-inf"], ["solve", "--p", "1e300", "--n", "16"],
+        ["solve", "--p", "-inf"],
         ["sweep", "--p-min", "nan", "--p-max", "2", "--p-steps", "2"],
         ["sweep", "--p-min", "1", "--p-max", "inf", "--p-steps", "2"],
         ["solve", "--sigma0", "0", "--n", "16"],
         ["solve", "--sigma0", "1e300", "--mu", "1e-300", "--n", "16"],
         ["solve", "--a", "1e-310", "--n", "16"],
+        ["solve", "--p", "1e-300", "--n", "16"],
+        ["sweep", "--p-min", "1e-300", "--p-max", "1e300", "--p-steps", "3",
+         "--log-spaced", "--n", "16"],
     ]
+    # a/ell far beyond the degenerate switch: the near-tip grid must not
+    # round onto the tip
+    huge_p = [["solve", "--p", p, "--n", "16"]
+              for p in ("1e13", "1e15", "1e300")]
+    grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
+            "--y-min", "0", "--y-max", "1", "--y-num", "2"]
+    explicit += huge_p + [
+        ["field", "--b", b, "--omega", om, "--ell", ell] + grid
+        for ell in ("1e-300", "1e-150", "1e300")
+        for b, om in (("1", "0"), ("0", "1"))]
     rng = np.random.default_rng(20261018)
     cases = explicit + [_fuzz_argv(rng) for _ in range(120)]
     codes = set()
     for k, argv in enumerate(cases):
         out = tmp_path / f"case{k}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         codes.add(rc)
@@ -260,9 +274,15 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         if rc == 0:
             assert _all_finite(out), argv
         else:
+            # one stderr line: no Python warning printed before it
             assert err.count("\n") == 1, argv
+            assert not caught, (argv, [str(w.message) for w in caught])
             assert not out.exists(), argv
     assert codes == {0, 1, 2}
+    for argv in huge_p:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv + ["--out", str(tmp_path / argv[2])]) == 0
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1

@@ -193,14 +193,63 @@ def test_log_rule_linear_density_against_adaptive_oracle():
 
 # ------------------------------------------------------------------ assembly
 
+def _full_system(prob, disc):
+    """The unreduced 2n x 2n collocation system, the reference for the
+    parity-reduced one the solver builds.
+
+    Unknowns [f(s_1)..f(s_n), g(s_1)..g(s_n)]; rows: the normal-stress
+    condition at every collocation point, the couple-stress condition at
+    every collocation point, then the closures sum f = 0 and sum g = 0.
+    """
+    n, p, nu = disc.n, prob.p, prob.material.nu
+    s, t = disc.nodes, disc.collocation
+    dt = t[:, None] - s[None, :]
+    k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
+    gn = np.array([log_quadrature_weight(tk, disc, p) for tk in t])
+    theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
+    tprime = n * (-1.0) ** np.arange(n) / np.sin(theta)
+    lagrange = np.cos(n * np.arccos(t))[:, None] / (dt * tprime[None, :])
+    m = n - 1
+    a_mat = np.zeros((2 * n, 2 * n))
+    rhs = np.zeros(2 * n)
+    a_mat[:m, :n] = (2.0 / n) * k1n \
+        + (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt
+    a_mat[:m, n:] = (lnp - k2n) / n + gn[:, None] * lagrange / np.pi
+    rhs[:m] = -1.0
+    a_mat[m:2 * m, :n] = a_mat[:m, n:]
+    a_mat[m:2 * m, n:] = -2.0 / (p * p * n) / dt + k3n / (2.0 * p * n)
+    a_mat[2 * m, :n] = 1.0
+    a_mat[2 * m + 1, n:] = 1.0
+    return a_mat, rhs
+
+
 def test_assemble_shape_and_closure_rows():
-    prob = _problem()
-    d = Discretization.build(16)
-    a_mat, rhs = assemble(prob, d)
-    assert a_mat.shape == (32, 32) and rhs.shape == (32,)
-    assert np.all(a_mat[30, :16] == 1.0) and np.all(a_mat[30, 16:] == 0.0)
-    assert np.all(a_mat[31, 16:] == 1.0) and np.all(a_mat[31, :16] == 0.0)
-    assert np.all(rhs[:15] == -1.0) and np.all(rhs[15:] == 0.0)
+    for n in (16, 17):
+        a_mat, rhs = assemble(_problem(), Discretization.build(n))
+        nf = n // 2
+        # n unknowns: f at the n//2 nodes s > 0, g at the (n+1)//2 s >= 0
+        assert a_mat.shape == (n, n) and rhs.shape == (n,)
+        # closure sum g = 0 over all n nodes: weight 2 on s > 0, 1 on s = 0
+        closure = np.r_[np.zeros(nf), np.full(nf, 2.0), np.ones(n - 2 * nf)]
+        assert np.array_equal(a_mat[-1], closure)
+        # normal-stress rows at t >= 0, then couple-stress rows at t > 0
+        assert np.all(rhs[:nf] == -1.0) and np.all(rhs[nf:] == 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 129])
+def test_solution_satisfies_full_system(n):
+    # every row of the unreduced system, equilibrated as the solver does,
+    # including the rows the fold drops (couple stress at t <= 0, normal
+    # stress at t < 0, the sum-f closure)
+    d = Discretization.build(n)
+    for p in (0.05, 1.0, 25.0):
+        for nu in (0.0, 0.3, 0.5):
+            sol = solve(_problem(nu, p), d)
+            full, rhs = _full_system(sol.problem, d)
+            scale = np.max(np.abs(full), axis=1)
+            x = np.concatenate([sol.f_vals, sol.g_vals])
+            res = np.abs(full @ x - rhs) / scale / np.linalg.norm(rhs / scale)
+            assert res.max() < 1e-10, (n, p, nu, res.max())
 
 
 def test_assemble_rhs_scales_with_tension():
@@ -221,16 +270,19 @@ def test_classical_solution_is_linear_in_s():
 # --------------------------------------------------------------------- solve
 
 def test_solution_symmetries_and_closure(solve_case):
-    sol = solve_case(0.3, 10.0, 128)
-    f, g = sol.f_vals, sol.g_vals
-    # closure sums
-    n = sol.disc.n
-    scale = max(np.abs(f).max(), np.abs(g).max())
-    assert abs(np.pi / n * np.sum(f)) < 1e-10 * scale
-    assert abs(np.pi / n * np.sum(g)) < 1e-10 * scale
-    # f odd, g even under s -> -s (node set is symmetric)
-    assert np.allclose(f, -f[::-1], atol=1e-8 * np.abs(f).max())
-    assert np.allclose(g, g[::-1], atol=1e-8 * np.abs(g).max())
+    for n, p in ((128, 10.0), (129, 10.0), (16, 0.3), (17, 0.3), (17, 1e4)):
+        sol = solve_case(0.3, p, n)
+        f, g = sol.f_vals, sol.g_vals
+        assert f.shape == g.shape == (n,)
+        # closure sums
+        scale = max(np.abs(f).max(), np.abs(g).max())
+        assert abs(np.pi / n * np.sum(f)) < 1e-10 * scale
+        assert abs(np.pi / n * np.sum(g)) < 1e-10 * scale
+        # f odd, g even under s -> -s: exact, since the solver's unknowns
+        # are f at s > 0 and g at s >= 0
+        assert np.array_equal(f, -f[::-1])
+        assert np.array_equal(g, g[::-1])
+        assert n % 2 == 0 or f[n // 2] == 0.0
 
 
 def test_solution_linearity_in_tension():
@@ -283,7 +335,9 @@ def test_tiny_p_warns():
 def test_solve_residual_is_tiny(solve_case):
     sol = solve_case(0.3, 10.0, 128)
     a_mat, rhs = assemble(sol.problem, sol.disc)
-    x = np.concatenate([sol.f_vals, sol.g_vals])
+    assert a_mat.shape == (128, 128)
+    # the reduced unknowns: f at the 64 nodes s > 0, g at the 64 s >= 0
+    x = np.concatenate([sol.f_vals[:64], sol.g_vals[:64]])
     res = np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs)
     assert res < 1e-10
     assert 0.0 <= sol.residual < 1e-10
@@ -301,13 +355,16 @@ def test_condition_indicator_reported(solve_case):
     for nu, p, n in ((0.3, 10.0, 128), (0.0, 0.01, 64), (0.5, 100.0, 129),
                      (0.25, 1.0, 32), (0.3, 250.0, 128)):
         sol = solve_case(nu, p, n)
-        a_mat, _ = assemble(sol.problem, sol.disc)
+        a_mat, _ = assemble(sol.problem, sol.disc)   # the folded n x n
+        assert a_mat.shape == (n, n)
         kappa = _kappa_1(a_mat / np.max(np.abs(a_mat), axis=1)[:, None])
         assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), (nu, p)
-    # past the degenerate switch: the unscaled classical system
+    # past the degenerate switch: the unscaled, folded classical system
     sol = solve_case(0.3, 1e4, 64)
     assert sol.classical_degenerate
-    kappa = _kappa_1(_classical_system(sol.problem, sol.disc)[0])
+    a_cl = _classical_system(sol.problem, sol.disc)[0]
+    assert a_cl.shape == (32, 32)
+    kappa = _kappa_1(a_cl)
     assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9)
 
 
