@@ -8,7 +8,7 @@ stress intensity factor, near-tip fields, and the energy release rate.
 """
 
 from .greens import (DefectCharge, FieldState, MaterialParams, full_field,
-                     line_m_yz, line_sigma_yy, semi_infinite_integral)
+                     line_m_yz, line_sigma_yy)
 from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
                    classical_baseline, crack_profiles, endpoint_values,
                    j_integral, stress_ahead, stress_intensity_factor,
@@ -16,19 +16,19 @@ from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
 from .sie import (CrackProblem, DensitySolution, Discretization, SolverError,
                   assemble, convergence_sweep, log_quadrature_weight, solve,
                   solve_classical)
-from .specfun import bessel_k, int_k0, k0_log_reg, k2_reg, k3_reg, meijer_kernel
+from .specfun import int_k0, k0_log_reg, k2_reg, k3_reg, meijer_kernel
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MaterialParams", "DefectCharge", "FieldState",
-    "line_sigma_yy", "line_m_yz", "full_field", "semi_infinite_integral",
+    "line_sigma_yy", "line_m_yz", "full_field",
     "CrackProblem", "Discretization", "DensitySolution", "SolverError",
     "log_quadrature_weight",
     "assemble", "solve", "solve_classical", "convergence_sweep",
     "CrackProfiles", "TipQuantities", "ClassicalBaseline",
     "crack_profiles", "endpoint_values", "tip_quantities", "stress_ahead",
     "stress_intensity_factor", "j_integral", "classical_baseline",
-    "bessel_k", "k2_reg", "k0_log_reg", "meijer_kernel", "k3_reg", "int_k0",
+    "k2_reg", "k0_log_reg", "meijer_kernel", "k3_reg", "int_k0",
     "__version__",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,13 +60,22 @@ def _write_csv(path: Path, config: dict, columns: dict):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_json(path: Path, config: dict, record: dict):
+    payload = {"config": config, **record}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
 def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
     """Write a command's CSV tables and its summary record, or nothing.
 
     ``tables`` maps file names to columns; ``summary`` is (path stem,
     record, format).  Every value is checked before the output directory
     is created, so a non-finite result (say, an overflow at extreme
-    --mu or --sigma0) is a numerical failure that leaves no files.
+    --mu or --sigma0) is a numerical failure that leaves no files.  Each
+    file is written under a temporary name in ``out`` and renamed only
+    once all of them are written; a failed write removes the temporaries
+    (and ``out``, if this call created it), so it leaves no partial file.
     """
     stem, record, fmt = summary if summary else (None, {}, None)
     numbers = {key: v for key, v in record.items()
@@ -74,19 +84,30 @@ def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
         for col, vals in columns.items():
             if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
                 raise SolverError(f"non-finite {col} in {name}")
+    files = [(name, _write_csv, columns) for name, columns in tables.items()]
+    path = None
+    if summary is not None:
+        path = (out / stem).with_suffix("." + fmt)
+        if fmt == "json":
+            files.append((path.name, _write_json, record))
+        else:
+            files.append((path.name, _write_csv,
+                          {k: [v] for k, v in numbers.items()}))
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    for name, columns in tables.items():
-        _write_csv(out / name, config, columns)
-    if summary is None:
-        return None
-    if fmt == "json":
-        path = (out / stem).with_suffix(".json")
-        payload = {"config": config, **record}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    else:
-        path = (out / stem).with_suffix(".csv")
-        _write_csv(path, config, {k: [v] for k, v in numbers.items()})
+    temps = []
+    try:
+        for name, write, data in files:
+            temps.append(out / f".{name}.{os.getpid()}.tmp")
+            write(temps[-1], config, data)
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        if created:
+            out.rmdir()
+        raise
+    for tmp, (name, _, _) in zip(temps, files):
+        os.replace(tmp, out / name)
     return path
 
 
@@ -225,28 +246,22 @@ def _cmd_field(args) -> int:
     ys = np.linspace(args.y_min, args.y_max, args.y_num)
     if np.any(ys < 0.0):
         raise ConfigError("grid extends below the half-plane: y must be >= 0")
-    for x in xs:
-        for y in ys:
-            if x == 0.0 and y == 0.0:
-                raise ConfigError(
-                    f"grid contains the defect core point ({x:g}, {y:g})")
+    # rows run over x within each y
+    y, x = (g.ravel() for g in np.meshgrid(ys, xs, indexing="ij"))
+    core = (x == 0.0) & (y == 0.0)
+    if np.any(core):
+        k = np.argmax(core)
+        raise ConfigError(
+            f"grid contains the defect core point ({x[k]:g}, {y[k]:g})")
     config = dict(command="field", b=args.b, omega=args.omega, mu=args.mu,
                   nu=args.nu, ell=args.ell, x_min=args.x_min,
                   x_max=args.x_max, x_num=args.x_num, y_min=args.y_min,
                   y_max=args.y_max, y_num=args.y_num)
-    names = ("x", "y", "sxx", "syy", "sxy", "syx", "mxz", "myz",
-             "ux", "uy", "omega")
-    data = {name: [] for name in names}
     # an extreme ell overflows the Bessel terms; _write_outputs reports the
     # non-finite result as one line, so numpy need not warn first
     with np.errstate(all="ignore"):
-        for y in ys:
-            for x in xs:
-                st = full_field(float(x), float(y), charge, mat)
-                vals = (x, y, st.sxx, st.syy, st.sxy, st.syx, st.mxz,
-                        st.myz, st.ux, st.uy, st.omega)
-                for name, v in zip(names, vals):
-                    data[name].append(v)
+        st = full_field(x, y, charge, mat)
+    data = {"x": x, "y": y, **vars(st)}
     out = Path(args.out)
     _write_outputs(out, config, {"field.csv": data})
     print(f"field: {len(xs) * len(ys)} points -> {out / 'field.csv'}")
@@ -363,6 +378,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("numerical failure: out of memory", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = [
-    "bessel_k",
     "k2_reg",
     "k0_log_reg",
     "meijer_kernel",
@@ -63,37 +62,6 @@ _SERIES_TERMS = 24
 # argument also keeps the I0 companion integral inside iti0k0 from
 # overflowing.
 _ITK0_TAIL = 30.0
-
-
-def bessel_k(order, z, scaled=False):
-    """Modified Bessel function of the second kind, order 0, 1 or 2.
-
-    Parameters
-    ----------
-    order : int
-        One of 0, 1, 2.
-    z : float or ndarray
-        Strictly positive argument.
-    scaled : bool
-        If True, return exp(z)*K_order(z) (usable for z up to ~1e300).
-
-    Raises
-    ------
-    ValueError
-        If ``order`` is not in {0, 1, 2} or any ``z`` is not positive.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(~(z > 0.0)):
-        raise ValueError("bessel_k requires z > 0")
-    if order == 0:
-        out = _sp.k0e(z) if scaled else _sp.k0(z)
-    elif order == 1:
-        out = _sp.k1e(z) if scaled else _sp.k1(z)
-    elif order == 2:
-        out = _sp.kve(2, z) if scaled else _sp.k0(z) + 2.0 * _sp.k1(z) / z
-    else:
-        raise ValueError(f"bessel_k order must be 0, 1 or 2, got {order!r}")
-    return out if out.ndim else float(out)
 
 
 def _series_table():

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cscrack
+from cscrack import cli
 from cscrack.cli import main
 
 
@@ -289,6 +295,42 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         assert "too large" in capsys.readouterr().err
 
 
+def test_failed_write_leaves_no_files(tmp_path, monkeypatch, capsys):
+    # the second of solve's files fails to write: no output file and no
+    # temporary is left, in an existing directory or in a new one
+    real = cli._write_csv
+    calls = []
+
+    def flaky(path, config, columns):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(path, config, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", flaky)
+    out = tmp_path / "existing"
+    out.mkdir()
+    (out / "keep.txt").write_text("kept\n")
+    assert main(["solve", "--n", "16", "--out", str(out)]) == 1
+    assert len(calls) == 2
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    calls.clear()
+    assert main(["solve", "--n", "16", "--out", str(tmp_path / "new")]) == 1
+    assert not (tmp_path / "new").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "disk full" in err
+    # an --out that names a file is a configuration error, not a traceback
+    monkeypatch.undo()
+    assert main(["solve", "--n", "16", "--out", str(out / "keep.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # a successful write leaves exactly the named files
+    assert main(["solve", "--n", "16", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "densities.csv", "keep.txt", "neartip.csv", "profiles.csv",
+        "summary.json"]
+
+
 def test_sweep_empty_range_errors(tmp_path):
     assert main(["sweep", "--p-min", "5", "--p-max", "1", "--p-steps", "3",
                  "--out", str(tmp_path)]) == 1
@@ -350,3 +392,17 @@ def test_baseline_outputs(tmp_path):
     assert rec["K_I"] == pytest.approx(np.sqrt(np.pi), rel=1e-12)
     assert rec["K_I_discrete_rel_err"] < 1e-6
     assert (tmp_path / "baseline_cod.csv").exists()
+
+
+def test_import_does_not_load_scipy_integrate():
+    # every CLI call pays for what `import cscrack` loads; scipy.integrate
+    # alone cost about a quarter of a second of it
+    src = str(Path(cscrack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import cscrack, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))")
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

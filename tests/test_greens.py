@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from cscrack import (DefectCharge, MaterialParams, bessel_k, full_field,
-                     line_m_yz, line_sigma_yy, semi_infinite_integral)
+from cscrack import (DefectCharge, MaterialParams, full_field, line_m_yz,
+                     line_sigma_yy)
+from cscrack.greens import _disclination_integrals
 
 from _fd import CachedField, equilibrium_residuals, partial
 
@@ -43,7 +44,7 @@ def test_line_sigma_yy_dislocation_oddness():
 
 def test_line_sigma_yy_disclination_pinned_value():
     # x = ell, b = 0, Omega = 1: -(1/pi)(2 - K2(1)) - (1/pi) K0(1)
-    expect = -(2.0 - bessel_k(2, 1.0)) / np.pi - bessel_k(0, 1.0) / np.pi
+    expect = -(2.0 - special.kn(2, 1.0)) / np.pi - special.k0(1.0) / np.pi
     assert line_sigma_yy(1.0, DISCLIN, MAT) == pytest.approx(expect,
                                                              rel=1e-14)
     assert expect == pytest.approx(-0.2534337284930165, abs=1e-15)
@@ -64,7 +65,7 @@ def test_line_m_yz_vanishes_classically():
 
 def test_line_m_yz_dislocation_pinned_value():
     # x = 2 ell, b = 1: -(1/pi)[(1/2 - K2(2)) + K0(2)]
-    expect = -((0.5 - bessel_k(2, 2.0)) + bessel_k(0, 2.0)) / np.pi
+    expect = -((0.5 - special.kn(2, 2.0)) + special.k0(2.0)) / np.pi
     assert line_m_yz(2.0, DISLOC, MAT) == pytest.approx(expect, rel=1e-14)
     assert expect == pytest.approx(-0.11463425016988256, abs=1e-15)
 
@@ -76,7 +77,14 @@ def test_line_values_raise_at_origin():
         line_m_yz(0.0, DISLOC, MAT)
 
 
-# ------------------------------------------------------- oscillatory integrals
+# ------------------------------------------------- semi-infinite integrals
+
+def _integrals(x, y):
+    """(I10, I11) at one point (x/l, y/l) = (x, y), y > 0, from the field's
+    evaluator."""
+    i10, i11 = _disclination_integrals(np.array([x]), np.array([y]))
+    return float(i10[0]), float(i11[0])
+
 
 def _i10_oracle(x, y, ell, depth=12):
     """Zero-interval summation with iterated averaging of the partial sums,
@@ -98,41 +106,134 @@ def _i10_oracle(x, y, ell, depth=12):
     return acc[-1]
 
 
+def _mp_integrals(x, y):
+    """(I10, I11) at (x/l, y/l) = (x, y), y > 0, in 30-digit arithmetic.
+
+    The finite-integral forms in s = asinh(x'/y), as in the module
+    docstring but with K2 itself (no singularity subtraction):
+    I10 = int Y K1(w) ds, I11 = int [Y K2(w)/cosh(s) - K1(w)] ds, w = Y
+    cosh(s).  The range is cut where w > 80 (integrands below e^-80) and
+    split where w passes 1.  This takes seconds per point, so the grid
+    test below holds its values in ``_MP_GRID``.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        x, y = mp.mpf(x), mp.mpf(y)
+        s_end = mp.asinh(abs(x) / y)
+        if y * mp.cosh(s_end) > 80:
+            s_end = mp.acosh(80 / y) if y < 80 else mp.mpf(0)
+        cuts = [mp.mpf(0)]
+        if y < 1:
+            sc = mp.acosh(1 / y)
+            cuts += [c for c in (sc - 2, sc, sc + 2) if 0 < c < s_end]
+        cuts.append(s_end)
+        memo = {}
+
+        def bessel(s):
+            if s not in memo:
+                w = y * mp.cosh(s)
+                memo[s] = (w, mp.besselk(0, w), mp.besselk(1, w))
+            return memo[s]
+
+        def f10(s):
+            w, k0, k1 = bessel(s)
+            return y * k1
+
+        def f11(s):
+            w, k0, k1 = bessel(s)
+            return y * (k0 + 2 * k1 / w) / mp.cosh(s) - k1
+
+        if s_end == 0:
+            return 0.0, 0.0
+        sgn = 1 if x > 0 else -1
+        return (float(sgn * mp.quad(f10, cuts)),
+                float(sgn * mp.quad(f11, cuts)))
+
+
+# (x/l, y/l, I10, I11) from _mp_integrals
+_MP_GRID = [
+    (0.0001, 1e-08, 1.5706963267898169, 10000.000441297889),
+    (0.01, 1e-08, 1.5707953264838403, 100.03110562404301),
+    (1, 1e-08, 1.570796308350726, 1.8444170631130496),
+    (6, 1e-08, 1.570796311085112, 1.5709784572791468),
+    (1000.0, 1e-08, 1.5707963110869334, 1.5707963110869334),
+    (0.0001, 1e-06, 1.5607966595677008, 9999.0006397403),
+    (0.01, 1e-06, 1.5706962956903754, 100.03110306912967),
+    (1, 1e-06, 1.5707944823786033, 1.844415508024796),
+    (6, 1e-06, 1.570794755817209, 1.5709769021915685),
+    (1000.0, 1e-06, 1.5707947559993551, 1.5707947559993551),
+    (0.0001, 0.0001, 0.7853981149259476, 5000.0004454451),
+    (0.01, 0.0001, 1.5607935573732243, 100.02095031021854),
+    (1, 0.0001, 1.5706118929409596, 1.8442600002859626),
+    (6, 0.0001, 1.5706392368013178, 1.570821401207651),
+    (1000.0, 0.0001, 1.570639255015937, 1.570639255015937),
+    (0.0001, 0.01, 0.009997056106826807, 1.00011107648833),
+    (0.01, 0.01, 0.785143702054051, 50.02151981092229),
+    (1, 0.01, 1.5524306598632287, 1.8287198416285544),
+    (6, 0.01, 1.5551648207518105, 1.5553487833969286),
+    (1000.0, 0.01, 1.5551666421970913, 1.5551666421970913),
+    (0.0001, 0.5, 0.0001656441094836023, 0.00042373011547091325),
+    (0.01, 0.5, 0.01656189509258264, 0.04235736687697173),
+    (1, 0.5, 0.839711602778155, 1.0983248707008908),
+    (6, 0.5, 0.9526471120837947, 0.9529060699944917),
+    (1000.0, 0.5, 0.9527361323650899, 0.9527361323650899),
+    (0.0001, 3, 4.015643109402171e-06, 4.812498137252904e-06),
+    (0.01, 3, 0.00040156089406818485, 0.0004812441662032188),
+    (1, 3, 0.037047877949241644, 0.043131117377841095),
+    (6, 3, 0.07795314560846439, 0.07816675269879873),
+    (1000.0, 3, 0.07820534411412706, 0.07820534411412706),
+    (0.0001, 50, 3.444102226599417e-27, 3.479049794202075e-27),
+    (0.01, 50, 3.444101044073982e-25, 3.479048575331526e-25),
+    (1, 50, 3.432312971698434e-23, 3.466898972598447e-23),
+    (6, 50, 1.8375268740249423e-22, 1.8519664501476122e-22),
+    (1000.0, 50, 3.0296731764879176e-22, 3.029673176487925e-22),
+]
+
+
 def test_semi_infinite_integral_matches_acceleration_oracle():
-    val = semi_infinite_integral("I10", 1.0, 1.0, 1.0)
+    val = _integrals(1.0, 1.0)[0]
     assert val == pytest.approx(_i10_oracle(1.0, 1.0, 1.0), abs=1e-8)
     assert val == pytest.approx(0.4345132885961036, abs=1e-10)
 
 
 def test_semi_infinite_integral_both_kinds_both_regimes():
+    # the sine-transform definitions themselves, by oscillatory quadrature
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
-    for which, power in (("I10", 0), ("I11", 1)):
+    for k, power in ((0, 0), (1, 1)):
         for x, y in ((1.0, 1.0), (6.0, 0.4), (0.3, 2.0)):
             def f(xi):
                 a = mp.sqrt(1 + xi * xi)
                 return a ** power / xi * mp.exp(-y * a) * mp.sin(xi * x)
 
             ref = float(mp.quadosc(f, [0, mp.inf], period=2 * np.pi / x))
-            assert semi_infinite_integral(which, x, y, 1.0) == pytest.approx(
-                ref, rel=1e-10), (which, x, y)
+            assert _integrals(x, y)[k] == pytest.approx(ref, rel=1e-10), \
+                (k, x, y)
+
+
+def test_semi_infinite_integrals_match_mpmath_grid():
+    grid = np.array(_MP_GRID)
+    x, y, ref10, ref11 = grid.T
+    # odd in x: the mirrored points carry the negated references
+    i10, i11 = _disclination_integrals(np.concatenate([x, -x]),
+                                       np.concatenate([y, y]))
+    for got, ref in ((i10, ref10), (i11, ref11)):
+        ref = np.concatenate([ref, -ref])
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() < 1e-12, grid[np.argmax(err) % len(grid)]
+    # the table is what _mp_integrals gives
+    for row in (_MP_GRID[16], _MP_GRID[27]):
+        assert _mp_integrals(*row[:2]) == pytest.approx(row[2:], rel=1e-15)
 
 
 def test_semi_infinite_integral_symmetries_and_decay():
-    v = semi_infinite_integral("I10", 2.0, 1.5, 1.0)
-    assert semi_infinite_integral("I10", -2.0, 1.5, 1.0) == -v
-    assert semi_infinite_integral("I10", 2.0, 60.0, 1.0) == pytest.approx(
-        0.0, abs=1e-20)
-    assert semi_infinite_integral("I10", 0.0, 1.0, 1.0) == 0.0
-
-
-def test_semi_infinite_integral_domain_errors():
-    with pytest.raises(ValueError):
-        semi_infinite_integral("I10", 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        semi_infinite_integral("I10", 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        semi_infinite_integral("I12", 1.0, 1.0, 1.0)
+    v = _integrals(2.0, 1.5)[0]
+    assert _integrals(-2.0, 1.5)[0] == -v
+    assert _integrals(2.0, 60.0)[0] == pytest.approx(0.0, abs=1e-20)
+    # the x = 0 column: both integrals vanish exactly
+    ys = np.geomspace(1e-8, 50.0, 12)
+    i10, i11 = _disclination_integrals(np.zeros_like(ys), ys)
+    assert np.all(i10 == 0.0) and np.all(i11 == 0.0)
 
 
 # ------------------------------------------------------------- traces at y=0
@@ -177,11 +278,54 @@ def test_full_field_line_values_match_line_functions():
         assert st.myz == pytest.approx(line_m_yz(x, MIXED, MAT), rel=1e-12)
 
 
+def test_field_near_line_matches_line_branch():
+    # y/l = 1e-8 reproduces the y = 0 branch (the line limits of I10, I11)
+    mat = MaterialParams(mu=1.3, nu=0.3, ell=0.8)
+    x = mat.ell * np.array([-30.0, -2.0, -0.3, 0.3, 0.7, 4.0, 900.0])
+    on = full_field(x, 0.0, MIXED, mat)
+    near = full_field(x, 1e-8 * mat.ell, MIXED, mat)
+    for name in ("sxx", "syy", "sxy", "syx", "mxz", "myz", "ux", "uy",
+                 "omega"):
+        a, b = getattr(near, name), getattr(on, name)
+        assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(1.0, np.abs(b))), \
+            name
+
+
+def test_full_field_arrays_match_scalar_calls():
+    # more points than one quadrature block, with the y = 0 row, the x = 0
+    # column and y/l down to 1e-8
+    mat = MaterialParams(mu=1.3, nu=0.3, ell=0.8)
+    xs = np.concatenate([-np.geomspace(1e-3, 40.0, 20)[::-1], [0.0],
+                         np.geomspace(1e-3, 40.0, 20)])
+    ys = np.concatenate([[0.0], np.geomspace(1e-8, 30.0, 29)])
+    y, x = (g.ravel() for g in np.meshgrid(ys, xs, indexing="ij"))
+    keep = (x != 0.0) | (y != 0.0)
+    x, y = x[keep], y[keep]
+    for charge in (DISLOC, DISCLIN, MIXED):
+        arr = full_field(x, y, charge, mat)
+        pts = [full_field(float(a), float(b), charge, mat)
+               for a, b in zip(x, y)]
+        for name in ("sxx", "syy", "sxy", "syx", "mxz", "myz", "ux", "uy",
+                     "omega"):
+            col = getattr(arr, name)
+            ref = np.array([getattr(st, name) for st in pts])
+            assert col.shape == x.shape
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(col - ref)) <= 1e-14 * scale, name
+    grid = full_field(xs[:, None] + 0.5, ys[None, :], MIXED, mat)
+    assert grid.ux.shape == (xs.size, ys.size)
+
+
 def test_full_field_domain_errors():
     with pytest.raises(ValueError):
         full_field(0.0, 0.0, DISLOC, MAT)
     with pytest.raises(ValueError):
         full_field(1.0, -0.5, DISLOC, MAT)
+    with pytest.raises(ValueError):
+        full_field(np.array([1.0, 0.0]), np.array([0.5, 0.0]), DISCLIN, MAT)
+    with pytest.raises(ValueError):
+        full_field(np.array([1.0, 2.0]), np.array([0.5, -1e-9]), DISCLIN,
+                   MAT)
     with pytest.raises(ValueError):
         full_field(1.0, 1.0, DISLOC, MaterialParams(1.0, 0.3, 0.0))
 

@@ -1,5 +1,6 @@
 """Quadrature identities, kernels, assembly and the density solve."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from cscrack import (CrackProblem, Discretization, MaterialParams,
                      solve_classical)
 from cscrack.post import endpoint_values
 from cscrack.sie import (_classical_system, _normalized_kernels,
-                         _solve_shared)
+                         _solve_shared, _working_set_bytes)
 
 EG = np.euler_gamma
 
@@ -39,6 +40,21 @@ def test_discretization_nodes_and_interlacing():
 def test_discretization_minimum_size():
     with pytest.raises(ValueError):
         Discretization.build(7)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_memory_guard_covers_solve_peak(n):
+    # the estimate Discretization.build checks against physical memory
+    # bounds what solve allocates, on both branches of the kernel evaluator
+    disc = Discretization.build(n)
+    for p in (0.3, 10.0):
+        tracemalloc.start()
+        try:
+            solve(_problem(p=p), disc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _working_set_bytes(n) >= peak, (p, peak / (8.0 * n * n))
 
 
 def test_gauss_chebyshev_polynomial_exactness():

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from cscrack.specfun import (bessel_k, int_k0, k0_log_reg, k2_reg, k3_reg,
+from cscrack.greens import _bessel
+from cscrack.specfun import (int_k0, k0_log_reg, k2_reg, k3_reg,
                              meijer_kernel)
 from cscrack.specfun import _SERIES_SWITCH, _regularised_series
 
@@ -81,13 +82,23 @@ def _meijer_fp_oracle(x, ell=1.0):
     return head + rest + ell * np.cos(x) / x
 
 
-# ---------------------------------------------------------------- bessel_k
+# ------------------------------------------------------- Bessel K0, K1, K2
+# The field takes K0, K1 and K2 from the regularised evaluator (through
+# greens._bessel); scipy.special supplies the reference values elsewhere.
+
+def _k012(z):
+    """(K0, K1, K2)(z) as the defect field forms them."""
+    k0, k1, d = _bessel(np.asarray(z, dtype=float))
+    return k0, k1, 2.0 / z ** 2 - d
+
 
 def test_bessel_k_against_series_oracle():
-    # K0(1) from the ascending series with explicit Euler constant
-    for order in (0, 1, 2):
-        oracle = _kn_series(order, 1.0)
-        assert bessel_k(order, 1.0) == pytest.approx(oracle, rel=1e-12)
+    # K0, K1, K2 from the ascending series with explicit Euler constant,
+    # on both branches of the evaluator
+    for z in (0.5, 1.0, 2.0):
+        for order, val in enumerate(_k012(z)):
+            oracle = _kn_series(order, z)
+            assert val == pytest.approx(oracle, rel=1e-12), (order, z)
 
 
 def test_bessel_series_vs_asymptotic_cross_check():
@@ -96,7 +107,7 @@ def test_bessel_series_vs_asymptotic_cross_check():
         s = _kn_series(order, 10.0, terms=80)
         a = _kn_asymptotic(order, 10.0)
         assert s == pytest.approx(a, rel=1e-9)
-        assert bessel_k(order, 10.0) == pytest.approx(s, rel=1e-12)
+        assert special.kv(order, 10.0) == pytest.approx(s, rel=1e-12)
 
 
 def test_bessel_k_wide_range_against_mpmath():
@@ -105,44 +116,36 @@ def test_bessel_k_wide_range_against_mpmath():
     for order in (0, 1, 2):
         for z in (1e-8, 1e-4, 0.1, 1.0, 5.0, 50.0, 300.0, 700.0):
             ref = float(mp.besselk(order, z) * mp.exp(z))
-            assert bessel_k(order, z, scaled=True) == pytest.approx(
+            assert special.kve(order, z) == pytest.approx(
                 ref, rel=1e-12), (order, z)
 
 
 def test_bessel_k_decay_and_small_argument():
-    assert bessel_k(0, 700.0) < 1e-300
-    # K2 ~ 2/z^2 leading behavior
+    assert special.k0(700.0) < 1e-300
+    # K2 ~ 2/z^2 leading behavior, also as the field forms it
     z = 1e-6
-    assert bessel_k(2, z) * z * z / 2.0 == pytest.approx(1.0, rel=1e-6)
+    assert special.kv(2, z) * z * z / 2.0 == pytest.approx(1.0, rel=1e-6)
+    assert _k012(z)[2] * z * z / 2.0 == pytest.approx(1.0, rel=1e-6)
 
 
 def test_bessel_k_scaled_variant():
     z = 600.0
-    assert bessel_k(1, z, scaled=True) == pytest.approx(
-        np.sqrt(0.5 * np.pi / z), rel=1e-2)
-
-
-def test_bessel_k_domain_errors():
-    with pytest.raises(ValueError):
-        bessel_k(0, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(1, -2.0)
-    with pytest.raises(ValueError):
-        bessel_k(3, 1.0)
+    assert special.k1e(z) == pytest.approx(np.sqrt(0.5 * np.pi / z),
+                                           rel=1e-2)
 
 
 def test_bessel_recurrence():
     # K2(z) = K0(z) + (2/z) K1(z), scaled form for the huge arguments
     for z in np.geomspace(1e-6, 600.0, 40):
-        k0, k1, k2 = (bessel_k(i, z, scaled=True) for i in (0, 1, 2))
+        k0, k1, k2 = (special.kve(i, z) for i in (0, 1, 2))
         assert k2 == pytest.approx(k0 + 2.0 / z * k1, rel=1e-11)
 
 
 def test_bessel_k0_derivative_is_minus_k1():
     h = 1e-6
     for z in (0.5, 1.0, 5.0):
-        fd = (bessel_k(0, z + h) - bessel_k(0, z - h)) / (2.0 * h)
-        assert fd == pytest.approx(-bessel_k(1, z), abs=1e-8)
+        fd = (_k012(z + h)[0] - _k012(z - h)[0]) / (2.0 * h)
+        assert fd == pytest.approx(-_k012(z)[1], abs=1e-8)
 
 
 # ---------------------------------------------------------------- k2_reg
@@ -165,7 +168,7 @@ def test_k2_reg_direct_composition():
 def test_k2_reg_branch_continuity():
     w = _SERIES_SWITCH
     series = 0.5 + _regularised_series(np.array([w]))[2][0]
-    direct = 2.0 / w ** 2 - bessel_k(2, w)
+    direct = 2.0 / w ** 2 - special.kv(2, w)
     assert series == pytest.approx(direct, abs=1e-10)
 
 
@@ -184,7 +187,7 @@ def test_k0_log_reg_zero_limit():
 
 def test_k0_log_reg_large_argument():
     assert k0_log_reg(50.0, 1.0) == pytest.approx(
-        np.log(50.0) + bessel_k(0, 50.0), rel=1e-15)
+        np.log(50.0) + special.k0(50.0), rel=1e-15)
 
 
 def test_k0_log_reg_composition():
@@ -195,7 +198,7 @@ def test_k0_log_reg_composition():
 def test_k0_log_reg_branch_continuity():
     w = _SERIES_SWITCH
     series = _regularised_series(np.array([w]))[0][0]
-    direct = bessel_k(0, w) + np.log(w)
+    direct = special.k0(w) + np.log(w)
     assert series == pytest.approx(direct, abs=1e-10)
 
 
@@ -281,7 +284,7 @@ def test_k3_reg_near_zero_log_expansion():
 def test_k1_minus_recip_branch_continuity():
     w = _SERIES_SWITCH
     series = _regularised_series(np.array([w]))[1][0]
-    direct = bessel_k(1, w) - 1.0 / w
+    direct = special.k1(w) - 1.0 / w
     assert series == pytest.approx(direct, abs=1e-10)
 
 
@@ -289,5 +292,5 @@ def test_int_k0_limits():
     assert int_k0(0.0) == 0.0
     assert int_k0(100.0) == pytest.approx(0.5 * np.pi, abs=1e-14)
     # independent quadrature
-    val, _ = integrate.quad(lambda v: bessel_k(0, v), 1e-300, 2.0)
+    val, _ = integrate.quad(special.k0, 1e-300, 2.0)
     assert int_k0(2.0) == pytest.approx(val, rel=1e-10)
