@@ -14,8 +14,7 @@ from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
                    j_integral, stress_ahead, stress_intensity_factor,
                    tip_quantities)
 from .sie import (CrackProblem, DensitySolution, Discretization, SolverError,
-                  assemble, convergence_sweep, log_quadrature_weight, solve,
-                  solve_classical)
+                  assemble, log_quadrature_weight, solve)
 from .specfun import int_k0, k0_log_reg, k2_reg, k3_reg, meijer_kernel
 
 __version__ = "0.1.0"
@@ -25,7 +24,7 @@ __all__ = [
     "line_sigma_yy", "line_m_yz", "full_field",
     "CrackProblem", "Discretization", "DensitySolution", "SolverError",
     "log_quadrature_weight",
-    "assemble", "solve", "solve_classical", "convergence_sweep",
+    "assemble", "solve",
     "CrackProfiles", "TipQuantities", "ClassicalBaseline",
     "crack_profiles", "endpoint_values", "tip_quantities", "stress_ahead",
     "stress_intensity_factor", "j_integral", "classical_baseline",

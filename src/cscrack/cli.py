@@ -13,13 +13,14 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .greens import DefectCharge, MaterialParams, full_field
-from .post import (classical_baseline, crack_profiles, stress_ahead,
-                   tip_quantities)
+from .post import (_classical_closed_forms, classical_baseline,
+                   crack_profiles, stress_ahead, tip_quantities)
 from .sie import (CrackProblem, Discretization, SolverError, _solve_shared,
                   solve)
 
@@ -120,20 +121,22 @@ def _ratios(sol):
     """(tip quantities, K_I ratio, J ratio) of one solution, the ratios
     taken against the classical crack of the same a, sigma0, mu, nu."""
     tip = tip_quantities(sol)
-    prob = sol.problem
-    a, sigma0 = prob.half_length, prob.remote_tension
-    mu, nu = prob.material.mu, prob.material.nu
-    k_ratio = tip.k_i / (sigma0 * np.sqrt(np.pi * a))
-    j_cl = np.pi * (1.0 - nu) * sigma0 ** 2 * a / (2.0 * mu)
-    return tip, k_ratio, tip.j / j_cl
+    k_cl, j_cl = _classical_closed_forms(sol.problem)
+    return tip, tip.k_i / k_cl, tip.j / j_cl
+
+
+def _check_sigma0(args):
+    if args.sigma0 == 0.0:
+        raise ConfigError("--sigma0 must be nonzero: outputs are "
+                          "normalized by it")
 
 
 def _cmd_solve(args) -> int:
     if not 0.0 < args.p < np.inf:
         raise ConfigError("--p must be positive and finite")
-    if args.sigma0 == 0.0:
-        raise ConfigError("--sigma0 must be nonzero: outputs are "
-                          "normalized by it")
+    _check_sigma0(args)
+    if args.neartip_samples < 1:
+        raise ConfigError("--neartip-samples must be at least 1")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
@@ -193,6 +196,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"bad --nu-list: {exc}") from None
     if not nus:
         raise ConfigError("--nu-list is empty")
+    # each nu is reported under this key in the summary's flags
+    keys = [f"nu={nu:g}" for nu in nus]
+    if len(set(keys)) < len(keys):
+        raise ConfigError(f"--nu-list repeats a value: {args.nu_list}")
     if args.p_steps == 1:
         ps = np.array([args.p_min])
     elif args.log_spaced:
@@ -220,10 +227,10 @@ def _cmd_sweep(args) -> int:
             enumerate(("ell_over_a", "p", "nu", "K_I_ratio", "J_ratio"))}
 
     flags = {}
-    for nu in nus:
+    for key, nu in zip(keys, nus):
         kr = [r[3] for r in rows if r[2] == nu]
         jr = [r[4] for r in rows if r[2] == nu]
-        flags[f"nu={nu:g}"] = {
+        flags[key] = {
             "K_ratio_strictly_decreasing_in_ell_over_a":
                 bool(np.all(np.diff(kr) < 0.0)),
             "J_ratio_strictly_decreasing_in_ell_over_a":
@@ -269,6 +276,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    _check_sigma0(args)
     mat = MaterialParams(mu=args.mu, nu=args.nu, ell=0.0)
     prob = CrackProblem(half_length=args.a, remote_tension=args.sigma0,
                         material=mat)
@@ -368,7 +376,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # a successful run reports each warning as one line; a failed one
+        # reports only its error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -381,6 +393,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write the outputs: {exc}", file=sys.stderr)
         return 1
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

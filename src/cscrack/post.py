@@ -14,7 +14,8 @@ interpolating polynomial) and evaluates:
   inverse-square-root blow-up is produced analytically;
 * the stress intensity factor and the energy release rate, in closed form
   in f(1), g(1);
-* classical-elasticity baselines for all of the above.
+* the classical-elasticity baseline: the same post-processing applied to
+  the solution of the classical (ell = 0) crack, beside its closed forms.
 
 Stress intensity factor: combining the near-tip limit of the Cauchy term
 with the definition K_I = lim sqrt(2 pi (x-a)) sigma_yy(x, 0) gives
@@ -36,13 +37,12 @@ degenerate system that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .sie import (CrackProblem, DensitySolution, Discretization,
-                  _normalized_kernels, chebyshev_coefficients,
-                  solve_classical)
+                  _normalized_kernels, chebyshev_coefficients, solve)
 
 __all__ = [
     "CrackProfiles",
@@ -239,37 +239,36 @@ def stress_ahead(sol: DensitySolution, x):
     return syy, myz
 
 
+def _classical_closed_forms(problem: CrackProblem):
+    """(K, J) of the classical crack with the same a, sigma0, mu and nu:
+    K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
+    pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu)."""
+    a, sigma0 = problem.half_length, problem.remote_tension
+    mat = problem.material
+    return (sigma0 * np.sqrt(np.pi * a),
+            np.pi * (1.0 - mat.nu) * sigma0 ** 2 * a / (2.0 * mat.mu))
+
+
 def classical_baseline(problem: CrackProblem, n: int = 128,
                        m_samples: int = 201) -> ClassicalBaseline:
     """Closed-form classical crack quantities plus their discrete twins.
 
-    K = sigma0 sqrt(pi a), J = pi (1-nu^2) sigma0^2 a / E with
-    E = 2 mu (1+nu), and the elliptical opening
-    delta u = 2 (1-nu) sigma0 sqrt(a^2 - x^2)/mu.  The discrete values
-    come from the pure-Cauchy collocation system; agreement validates the
-    Cauchy quadrature machinery in isolation.
+    The closed forms are K and J of :func:`_classical_closed_forms` and
+    the elliptical opening delta u = 2 (1-nu) sigma0 sqrt(a^2 - x^2)/mu.
+    The discrete values post-process :func:`solve`'s solution of the same
+    crack at ell = 0 (the pure-Cauchy collocation system) with
+    :func:`stress_intensity_factor` and :func:`crack_profiles`; agreement
+    validates the Cauchy quadrature and the post-processing in isolation.
     """
     mat = problem.material
-    a = problem.half_length
-    sigma0 = problem.remote_tension
-    nu = mat.nu
-    e_mod = 2.0 * mat.mu * (1.0 + nu)
-
-    k_closed = sigma0 * np.sqrt(np.pi * a)
-    j_closed = np.pi * (1.0 - nu * nu) * sigma0 ** 2 * a / e_mod
-
-    theta = np.linspace(np.pi, 0.0, m_samples + 2)[1:-1]
-    x = a * np.cos(theta)
-    cod = 2.0 * (1.0 - nu) * sigma0 / mat.mu * np.sqrt(a * a - x * x)
-
-    disc = Discretization.build(n)
-    f_cl = solve_classical(problem, disc)
-    cfc = chebyshev_coefficients(f_cl)
-    f1 = float(np.sum(cfc))
-    k_discrete = sigma0 * np.sqrt(np.pi * a) * f1 / (2.0 * (1.0 - nu))
-    cod_discrete = a * sigma0 / mat.mu * _jump_series(cfc, theta)
-
+    k_closed, j_closed = _classical_closed_forms(problem)
+    sol = solve(replace(problem, material=replace(mat, ell=0.0)),
+                Discretization.build(n))
+    prof = crack_profiles(sol, m_samples)
+    x, a = prof.x_samples, problem.half_length
+    cod = (2.0 * (1.0 - mat.nu) * problem.remote_tension / mat.mu
+           * np.sqrt(a * a - x * x))
     return ClassicalBaseline(k_i=float(k_closed), j=float(j_closed),
                              x_samples=x, cod=cod,
-                             k_i_discrete=float(k_discrete),
-                             cod_discrete=cod_discrete)
+                             k_i_discrete=stress_intensity_factor(sol),
+                             cod_discrete=prof.delta_uy)

@@ -31,9 +31,11 @@ Extreme size ratios: for p above roughly 2n the couple-stress kernels act
 below quadrature resolution and the log-rule correction no longer matches
 the (by then logarithmic) k2 sums, which visibly pollutes the solution.
 :func:`solve` therefore switches to the classical degenerate system (pure
-Cauchy equation for f, g identically zero) beyond ``degenerate_threshold``
-and marks the solution; stress-intensity and energy post-processing then
-use the classical near-tip coefficients consistently.
+Cauchy equation for f, g identically zero) for p > 2n and marks the
+solution; stress-intensity and energy post-processing then use the
+classical near-tip coefficients consistently.  The classical material
+(ell = 0, p = inf) takes the same branch without a warning, so the
+classical crack is solved and post-processed like any other.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ __all__ = [
     "log_quadrature_weight",
     "assemble",
     "solve",
-    "solve_classical",
-    "convergence_sweep",
 ]
 
 # Condition-number ceiling past which solve() refuses the system.
@@ -324,32 +324,24 @@ def assemble(problem: CrackProblem, disc: Discretization):
     """
     p = problem.p
     if not np.isfinite(p):
-        raise ValueError("assemble requires ell > 0; use solve_classical")
+        raise ValueError("assemble requires ell > 0; solve handles ell = 0")
     a_mat, rhs, cauchy = _nu_free_system(disc, p)
     return _add_cauchy(a_mat, cauchy, problem.material.nu), rhs
 
 
 def _classical_system(problem: CrackProblem, disc: Discretization):
     """(matrix, rhs) of the n//2 x n//2 parity-reduced classical system:
-    f odd, unknowns at s_i > 0, Cauchy rows at t_k >= 0."""
+    f odd, unknowns at s_i > 0, Cauchy rows at t_k >= 0.
+
+    It discretizes -sigma0 = mu/(2 pi (1-nu)) int B/(x-xi) dxi, the single
+    Cauchy equation the couple-stress system degenerates to.
+    """
     nu = problem.material.nu
     n = disc.n
     nf = n // 2
     s, t = disc.nodes[:nf], disc.collocation[:nf]
     cauchy = 1.0 / (t[:, None] - s[None, :]) - 1.0 / (t[:, None] + s[None, :])
     return cauchy / (2.0 * (1.0 - nu) * n), -np.ones(nf)
-
-
-def solve_classical(problem: CrackProblem, disc: Discretization) -> np.ndarray:
-    """Nodal f for the classical (ell = 0) crack equation.
-
-    The couple-stress system degenerates to the single Cauchy equation
-    -sigma0 = mu/(2 pi (1-nu)) int B/(x-xi) dxi, whose discrete solution
-    at the nodes is exactly f(s) = 2 (1-nu) s (nondimensional).
-    """
-    x = _factor_solve(*_classical_system(problem, disc),
-                      f"n = {disc.n}, nu = {problem.material.nu:g}")[0]
-    return _unfold(x, disc.n)[0]
 
 
 def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
@@ -375,8 +367,7 @@ def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
     return x, float(cond), float(residual)
 
 
-def _solve_shared(problems, disc: Discretization,
-                  degenerate_threshold: float | None = None):
+def _solve_shared(problems, disc: Discretization):
     """Solve problems that share the size ratio p = a/ell on one grid.
 
     The nu-free part of their systems is built once, each problem is
@@ -388,16 +379,15 @@ def _solve_shared(problems, disc: Discretization,
     if any(prob.p != p for prob in problems):
         raise ValueError("problems solved together must share a/ell")
     n = disc.n
-    threshold = 2.0 * n if degenerate_threshold is None else degenerate_threshold
 
     def where(prob):
         return f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}"
 
-    if p > threshold:
+    if p > 2.0 * n:
         if np.isfinite(p):
             warnings.warn(
                 f"a/ell = {p:g} exceeds the kernel resolvability limit "
-                f"{threshold:g} at n = {n}; solving the classical "
+                f"{2 * n} at n = {n}; solving the classical "
                 "degenerate system instead", RuntimeWarning, stacklevel=3)
         sols = []
         for prob in problems:
@@ -436,8 +426,7 @@ def _solve_shared(problems, disc: Discretization,
     return sols
 
 
-def solve(problem: CrackProblem, disc: Discretization,
-          degenerate_threshold: float | None = None) -> DensitySolution:
+def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
     """Solve the discrete system by dense LU with partial pivoting.
 
     The n x n parity-reduced system (see :func:`assemble`) is
@@ -447,12 +436,13 @@ def solve(problem: CrackProblem, disc: Discretization,
     relative residual of that system.  The returned f and g hold all n
     nodes, f odd and g even.
 
-    Falls back to the classical degenerate system for p above
-    ``degenerate_threshold`` (default 2n, the resolvability limit of the
-    couple-stress kernels on this grid); the returned solution is marked
-    ``classical_degenerate`` and has g identically zero, and its
-    ``condition`` and ``residual`` are those of the unscaled, folded
-    n//2 x n//2 classical system.
+    Falls back to the classical degenerate system for p above 2n, the
+    resolvability limit of the couple-stress kernels on this grid, with a
+    warning, and for the classical material (ell = 0) without one.  The
+    returned solution is marked ``classical_degenerate`` and has g
+    identically zero, and its ``condition`` and ``residual`` are those of
+    the unscaled, folded n//2 x n//2 classical system, whose exact
+    solution is f(s) = 2 (1-nu) s.
 
     Raises
     ------
@@ -461,29 +451,5 @@ def solve(problem: CrackProblem, disc: Discretization,
         2/(a/ell)^2 overflows), the condition estimate exceeds 1e12 or
         the solution fails the 1e-10 relative-residual check.
     """
-    return _solve_shared([problem], disc, degenerate_threshold)[0]
+    return _solve_shared([problem], disc)[0]
 
-
-def convergence_sweep(problem: CrackProblem, ns=(32, 64, 128, 256),
-                      rtol=1e-6):
-    """Solve at increasing n and report endpoint-value convergence.
-
-    Returns (records, converged) where each record is a dict with n, f(1),
-    g(1), and converged says whether the last two refinements changed both
-    endpoint values by less than ``rtol`` relatively.
-    """
-    from .post import endpoint_values
-
-    records = []
-    for n in ns:
-        sol = solve(problem, Discretization.build(n))
-        f1, g1 = endpoint_values(sol)
-        records.append({"n": n, "f1": f1, "g1": g1,
-                        "condition": sol.condition})
-    converged = False
-    if len(records) >= 2:
-        prev, last = records[-2], records[-1]
-        df = abs(last["f1"] - prev["f1"]) / max(abs(last["f1"]), 1e-300)
-        dg = abs(last["g1"] - prev["g1"]) / max(abs(last["g1"]), 1e-300)
-        converged = bool(df < rtol and dg < rtol)
-    return records, converged

@@ -182,11 +182,12 @@ def k0_log_reg(x_abs, ell):
 def meijer_kernel(x, ell):
     """Odd kernel sgn(x) * G_{1,3}^{2,1}(x^2/(4 l^2) | 1; -1/2, 1/2, 0).
 
-    Evaluated through the elementary identity
+    By the elementary identity
 
-        sgn(x) * G = -4 sgn(x) * [ K1(|x|/l) + int_0^{|x|/l} K0(v) dv ],
+        sgn(x) * G = -4 sgn(x) * [ K1(|x|/l) + int_0^{|x|/l} K0(v) dv ]
 
-    giving -4 l/x + O(x ln|x|) near zero and -2 pi sgn(x) at infinity.
+    it is :func:`k3_reg` minus the Cauchy part 4 l/x, giving
+    -4 l/x + O(x ln|x|) near zero and -2 pi sgn(x) at infinity.
 
     Raises
     ------
@@ -198,8 +199,7 @@ def meijer_kernel(x, ell):
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise ValueError("meijer_kernel is singular at x = 0; use k3_reg")
-    w = np.abs(x) / ell
-    out = -4.0 * np.sign(x) * (_sp.k1(w) + int_k0(w))
+    out = k3_reg(x, ell) - 4.0 * ell / x
     return out if out.ndim else float(out)
 
 

@@ -57,11 +57,17 @@ def test_solve_regression_value(tmp_path):
                                                  rel=1e-9)
 
 
-def test_solve_classical_degeneration(tmp_path):
-    with pytest.warns(RuntimeWarning):
+def test_solve_classical_degeneration(tmp_path, capsys):
+    # the degenerate switch is reported as one stderr line, not as a
+    # Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rc = main(["solve", "--nu", "0.3", "--p", "1e4", "--n", "128",
                    "--out", str(tmp_path)])
     assert rc == 0
+    assert capsys.readouterr().err == (
+        "warning: a/ell = 10000 exceeds the kernel resolvability limit 256 "
+        "at n = 128; solving the classical degenerate system instead\n")
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["K_I_ratio"] == pytest.approx(1.0, abs=0.01)
     assert summary["classical_degenerate"] is True
@@ -169,6 +175,33 @@ def test_sweep_rows_match_independent_solves(tmp_path):
         assert jr == float(format(summary["J_ratio"], ".12g")), (p, nu)
 
 
+def test_sweep_rejects_repeated_nu(tmp_path, capsys):
+    # a repeated nu would write duplicate rows, and two nus that print
+    # alike would share one entry of the summary's flags
+    base = ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "1",
+            "--n", "16", "--out", str(tmp_path / "never")]
+    for nus in ("0.3,0.3", "0,0.3,0.30000000000000004"):
+        assert main(base + ["--nu-list", nus]) == 1, nus
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeats" in err, nus
+        assert not (tmp_path / "never").exists()
+    assert main(base[:-1] + [str(tmp_path / "ok"), "--nu-list", "0.3"]) == 0
+    flags = json.loads((tmp_path / "ok" / "sweep_summary.json").read_text())
+    # a one-p sweep is trivially monotonic
+    assert all(flags["monotonicity"]["nu=0.3"].values())
+
+
+def test_baseline_rejects_zero_sigma0_like_solve(tmp_path, capsys):
+    errs = []
+    for cmd in ("solve", "baseline"):
+        assert main([cmd, "--sigma0", "0", "--n", "16",
+                     "--out", str(tmp_path / cmd)]) == 1
+        errs.append(capsys.readouterr().err)
+        assert not (tmp_path / cmd).exists()
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: --sigma0 must be nonzero")
+
+
 def test_sweep_rejects_scale_flags(tmp_path, capsys):
     # the ratios do not depend on a, sigma0 or mu, and the summary is
     # always JSON, so sweep has none of these flags; its Poisson ratios
@@ -261,7 +294,11 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
               for p in ("1e13", "1e15", "1e300")]
     grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
             "--y-min", "0", "--y-max", "1", "--y-num", "2"]
-    explicit += huge_p + [
+    # inputs refused as configuration errors (exit 1)
+    rejected = [["baseline", "--sigma0", "0", "--n", "16"],
+                ["solve", "--neartip-samples", "0", "--n", "16"],
+                ["baseline", "--profile-samples", "2", "--n", "16"]]
+    explicit += huge_p + rejected + [
         ["field", "--b", b, "--omega", om, "--ell", ell] + grid
         for ell in ("1e-300", "1e-150", "1e300")
         for b, om in (("1", "0"), ("0", "1"))]
@@ -289,6 +326,9 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(argv + ["--out", str(tmp_path / argv[2])]) == 0
+    for argv in rejected:
+        assert main(argv + ["--out", str(tmp_path / "never")]) == 1, argv
+        capsys.readouterr()
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1

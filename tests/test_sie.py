@@ -8,9 +8,8 @@ import pytest
 from scipy import integrate
 
 from cscrack import (CrackProblem, Discretization, MaterialParams,
-                     assemble, k3_reg, log_quadrature_weight, solve,
-                     solve_classical)
-from cscrack.post import endpoint_values
+                     assemble, k3_reg, log_quadrature_weight, solve)
+from cscrack.post import endpoint_values, stress_intensity_factor
 from cscrack.sie import (_classical_system, _normalized_kernels,
                          _solve_shared, _working_set_bytes)
 
@@ -277,10 +276,21 @@ def test_assemble_rhs_scales_with_tension():
 
 
 def test_classical_solution_is_linear_in_s():
-    prob = _problem(nu=0.25)
+    # the classical material (ell = 0) takes solve's degenerate branch
+    # without a warning; its exact discrete solution is f = 2 (1-nu) s
+    mat = MaterialParams(mu=1.0, nu=0.25, ell=0.0)
+    prob = CrackProblem(half_length=1.0, remote_tension=1.0, material=mat)
     d = Discretization.build(64)
-    f = solve_classical(prob, d)
-    assert np.allclose(f, 2.0 * (1.0 - 0.25) * d.nodes, atol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(prob, d)
+    assert sol.classical_degenerate
+    assert np.all(sol.g_vals == 0.0)
+    assert np.allclose(sol.f_vals, 2.0 * (1.0 - 0.25) * d.nodes,
+                       rtol=0.0, atol=1e-12)
+    # closed form K = sigma0 sqrt(pi a) = sqrt(pi)
+    assert stress_intensity_factor(sol) / np.sqrt(np.pi) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12)
 
 
 # --------------------------------------------------------------------- solve
@@ -428,11 +438,3 @@ def test_stiffening_trend(solve_case):
         openings.append(prof.delta_uy.max())
     assert np.all(np.diff(openings) < 0.0)
 
-
-def test_convergence_sweep_utility():
-    from cscrack import convergence_sweep
-
-    records, converged = convergence_sweep(_problem(p=10.0),
-                                           ns=(32, 64, 128, 256), rtol=1e-4)
-    assert [r["n"] for r in records] == [32, 64, 128, 256]
-    assert converged

@@ -294,3 +294,10 @@ def test_int_k0_limits():
     # independent quadrature
     val, _ = integrate.quad(special.k0, 1e-300, 2.0)
     assert int_k0(2.0) == pytest.approx(val, rel=1e-10)
+
+
+def test_scalar_calls_return_python_floats():
+    # a scalar argument gives a plain float, not a 0-d array or numpy scalar
+    for val in (k2_reg(0.3, 1.0), k0_log_reg(0.3, 1.0), k3_reg(-0.3, 1.0),
+                meijer_kernel(-0.3, 1.0), int_k0(0.3)):
+        assert type(val) is float
