@@ -62,7 +62,11 @@ def _write_csv(path: Path, config: dict, columns: dict):
 
 
 def _write_json(path: Path, config: dict, record: dict):
-    payload = {"config": config, **record}
+    # computed floats at the CSVs' 12 significant digits, so that reruns
+    # are byte-identical; the config echo stays exact
+    payload = {"config": config, **{
+        key: float(_fmt(v)) if isinstance(v, (float, np.floating)) else v
+        for key, v in record.items()}}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
@@ -122,19 +126,25 @@ def _ratios(sol):
     taken against the classical crack of the same a, sigma0, mu, nu."""
     tip = tip_quantities(sol)
     k_cl, j_cl = _classical_closed_forms(sol.problem)
-    return tip, tip.k_i / k_cl, tip.j / j_cl
+    # J and its classical value overflow or underflow at the ends of the
+    # float range; the ratio is then non-finite and _write_outputs names it
+    with np.errstate(all="ignore"):
+        return tip, tip.k_i / k_cl, np.divide(tip.j, j_cl)
 
 
-def _check_sigma0(args):
+def _check_crack_args(args):
+    """The checks solve and baseline share, made before solving."""
     if args.sigma0 == 0.0:
         raise ConfigError("--sigma0 must be nonzero: outputs are "
                           "normalized by it")
+    if args.profile_samples < 3:
+        raise ConfigError("--profile-samples must be at least 3")
 
 
 def _cmd_solve(args) -> int:
     if not 0.0 < args.p < np.inf:
         raise ConfigError("--p must be positive and finite")
-    _check_sigma0(args)
+    _check_crack_args(args)
     if args.neartip_samples < 1:
         raise ConfigError("--neartip-samples must be at least 1")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
@@ -206,6 +216,10 @@ def _cmd_sweep(args) -> int:
         ps = np.geomspace(args.p_min, args.p_max, args.p_steps)
     else:
         ps = np.linspace(args.p_min, args.p_max, args.p_steps)
+    # as the CSV prints them: a repeat would write rows it cannot tell
+    # apart and break every strict monotonicity flag
+    if len({_fmt(p) for p in ps}) < ps.size:
+        raise ConfigError("--p-min, --p-max and --p-steps repeat a p value")
 
     # the ratios do not depend on a, sigma0 or mu at fixed p, so the unit
     # crack serves; the nus of one p share their (n, p) kernel matrices
@@ -276,7 +290,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    _check_sigma0(args)
+    _check_crack_args(args)
     mat = MaterialParams(mu=args.mu, nu=args.nu, ell=0.0)
     prob = CrackProblem(half_length=args.a, remote_tension=args.sigma0,
                         material=mat)

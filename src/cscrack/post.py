@@ -20,19 +20,18 @@ interpolating polynomial) and evaluates:
 Stress intensity factor: combining the near-tip limit of the Cauchy term
 with the definition K_I = lim sqrt(2 pi (x-a)) sigma_yy(x, 0) gives
 
-    K_I = mu (3-2nu) / (2 (1-nu)) * sqrt(pi a) * (sigma0/mu) * f(1),
+    K_I = mu c / (2 (1-nu)) * sqrt(pi a) * (sigma0/mu) * f(1),
 
 since int w(s) f(s)/(t-s) ds -> pi f(1)/sqrt(2(t-1)) as t -> 1+ and
-x - a = a (t-1).  The classical baseline K = sigma0 sqrt(pi a) follows
-from the same formula with the (3-2nu) factor absent and f(1) = 2(1-nu).
-The energy release rate is
+x - a = a (t-1).  The energy release rate is
 
-    J = (mu pi a / 2) [ (3-2nu)/(4(1-nu)) F^2 + (ell/a)^2 G^2 ],
+    J = (mu pi a / 2) [ c/(4(1-nu)) F^2 + (ell/a)^2 G^2 ],
 
 with F, G the physical endpoint values sigma0 f(1)/mu, sigma0 g(1)/mu.
-For a solution marked classical-degenerate both formulas drop the
-couple-stress pieces ((3-2nu) -> 1, G -> 0), consistent with the
-degenerate system that produced it.
+The Cauchy factor c is that of the system solved (``sie._cauchy_factor``):
+3 - 2nu, or 1 for a solution marked classical-degenerate, whose g is
+identically zero.  So the classical K = sigma0 sqrt(pi a) follows from
+the same formula with c = 1 and f(1) = 2(1-nu).
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sie import (CrackProblem, DensitySolution, Discretization,
-                  _normalized_kernels, chebyshev_coefficients, solve)
+                  _cauchy_factor, _normalized_kernels,
+                  chebyshev_coefficients, solve)
 
 __all__ = [
     "CrackProfiles",
@@ -136,8 +136,8 @@ def stress_intensity_factor(sol: DensitySolution) -> float:
     """Mode-I stress intensity factor from the endpoint value f(1)."""
     prob = sol.problem
     f1, _ = endpoint_values(sol)
-    coeff = 1.0 if sol.classical_degenerate else 3.0 - 2.0 * prob.material.nu
-    return (coeff / (2.0 * (1.0 - prob.material.nu))
+    nu = prob.material.nu
+    return (_cauchy_factor(prob, sol.disc.n) / (2.0 * (1.0 - nu))
             * np.sqrt(np.pi * prob.half_length)
             * prob.remote_tension * f1)
 
@@ -149,13 +149,11 @@ def j_integral(sol: DensitySolution) -> float:
     f1, g1 = endpoint_values(sol)
     scale = prob.remote_tension / prob.material.mu
     f_phys = scale * f1
-    if sol.classical_degenerate:
-        bracket = f_phys * f_phys / (4.0 * (1.0 - nu))
-    else:
-        lr = 1.0 / sol.problem.p                 # ell/a
-        g_phys = scale * g1
-        bracket = ((3.0 - 2.0 * nu) / (4.0 * (1.0 - nu)) * f_phys * f_phys
-                   + (lr * g_phys) ** 2)
+    lg_phys = 1.0 / prob.p * (scale * g1)     # (ell/a) G; 0 at ell = 0
+    # products, not **: a float ** that overflows raises, while the
+    # product is inf, which the CLI reports as a non-finite J
+    bracket = (_cauchy_factor(prob, sol.disc.n) / (4.0 * (1.0 - nu))
+               * f_phys * f_phys + lg_phys * lg_phys)
     return 0.5 * np.pi * prob.material.mu * prob.half_length * bracket
 
 
@@ -212,28 +210,20 @@ def stress_ahead(sol: DensitySolution, x):
     f, g = sol.f_vals, sol.g_vals
     cf, cg = sol.coefficients
 
-    cauchy_f = _exterior_cauchy(cf, t)
-    if sol.classical_degenerate:
-        syy = sigma0 * (1.0 + cauchy_f / (2.0 * np.pi * (1.0 - nu)))
-        myz = np.zeros_like(syy)
-    else:
+    syy = (1.0 + _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
+           * _exterior_cauchy(cf, t))
+    myz = np.zeros_like(syy)
+    if not sol.classical_degenerate:
+        # the couple-stress and regular-kernel terms, resolved for p <= 2n
         p = prob.p
-        dt = t[:, None] - s[None, :]
-        k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
-        cauchy_g = _exterior_cauchy(cg, t)
-        log_g = _exterior_log(cg, t, p)
-        log_f = _exterior_log(cf, t, p)
-        syy_h = (1.0
-                 + (3.0 - 2.0 * nu) / (2.0 * np.pi * (1.0 - nu)) * cauchy_f
-                 + log_g / np.pi
-                 + (2.0 / n) * (k1n @ f)
-                 - (1.0 / n) * (k2n @ g))
-        myz_h = (-2.0 / (np.pi * p * p) * cauchy_g
-                 + log_f / np.pi
-                 - (1.0 / n) * (k2n @ f)
-                 + 1.0 / (2.0 * p * n) * (k3n @ g))
-        syy = sigma0 * syy_h
-        myz = sigma0 * a * myz_h
+        k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
+        syy = (syy + _exterior_log(cg, t, p) / np.pi
+               + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
+        myz = sigma0 * a * (-2.0 / (np.pi * p * p) * _exterior_cauchy(cg, t)
+                            + _exterior_log(cf, t, p) / np.pi
+                            - (1.0 / n) * (k2n @ f)
+                            + 1.0 / (2.0 * p * n) * (k3n @ g))
+    syy = sigma0 * syy
     if scalar:
         return float(syy[0]), float(myz[0])
     return syy, myz
@@ -246,7 +236,7 @@ def _classical_closed_forms(problem: CrackProblem):
     a, sigma0 = problem.half_length, problem.remote_tension
     mat = problem.material
     return (sigma0 * np.sqrt(np.pi * a),
-            np.pi * (1.0 - mat.nu) * sigma0 ** 2 * a / (2.0 * mat.mu))
+            np.pi * (1.0 - mat.nu) * sigma0 * sigma0 * a / (2.0 * mat.mu))
 
 
 def classical_baseline(problem: CrackProblem, n: int = 128,

@@ -30,12 +30,14 @@ only material inputs are nu and p = a/ell.  Post-processing rescales.
 Extreme size ratios: for p above roughly 2n the couple-stress kernels act
 below quadrature resolution and the log-rule correction no longer matches
 the (by then logarithmic) k2 sums, which visibly pollutes the solution.
-:func:`solve` therefore switches to the classical degenerate system (pure
-Cauchy equation for f, g identically zero) for p > 2n and marks the
-solution; stress-intensity and energy post-processing then use the
-classical near-tip coefficients consistently.  The classical material
-(ell = 0, p = inf) takes the same branch without a warning, so the
-classical crack is solved and post-processed like any other.
+For p > 2n the system is therefore the classical degenerate one: the
+f-Cauchy block of the same fold, with Cauchy factor 1 in place of 3 - 2nu
+(see :func:`_cauchy_factor`), no g unknowns and g identically zero.  It is
+equilibrated, factored and checked like every other system, and the
+solution is marked so that post-processing takes the same factor.  The
+classical material (ell = 0, p = inf) takes this branch without a
+warning, so the classical crack is solved and post-processed like any
+other.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ class DensitySolution:
     sqrt(1 - s_i^2) and likewise for g.  Both hold all n nodes, extended
     from the parity-reduced unknowns, so f is exactly odd and g exactly
     even.  ``condition`` is LAPACK's 1-norm condition estimate and
-    ``residual`` the relative residual of the n x n system actually
-    solved (see :func:`solve`).
+    ``residual`` the relative residual of the folded, equilibrated system
+    actually solved (see :func:`solve`).
     """
 
     f_vals: np.ndarray
@@ -229,21 +231,41 @@ def _normalized_kernels(dt, p):
 
 def _unfold(x: np.ndarray, n: int):
     """(f, g) at all n nodes from the reduced unknowns
-    x = [f at s_i > 0, g at s_i >= 0]: f odd and g even, bitwise."""
+    x = [f at s_i > 0, g at s_i >= 0]: f odd and g even, bitwise.  The
+    degenerate system has no g unknowns: there g = 0."""
     nf = n // 2
-    f, g = x[:nf], x[nf:]
+    f, g = x[:nf], np.concatenate([x[nf:], np.zeros(n - x.size)])
     return (np.concatenate([f, np.zeros(n - 2 * nf), -f[::-1]]),
             np.concatenate([g, g[:nf][::-1]]))
+
+
+def _degenerate(p: float, n: int) -> bool:
+    """The resolvability switch: past a/ell = 2n (ell = 0 included) the
+    couple-stress kernels act below the resolution of the n-point grid,
+    and the system solved is the classical degenerate one."""
+    return bool(p > 2.0 * n)
+
+
+def _cauchy_factor(problem: CrackProblem, n: int) -> float:
+    """Factor c of the Cauchy term c/(2(1-nu)) int B/(x - xi) dxi of the
+    normal-stress equation: 3 - 2nu, or 1 in the classical degenerate
+    system.  The solve, K_I, J and the stress ahead all take it from here.
+    """
+    if _degenerate(problem.p, n):
+        return 1.0
+    return 3.0 - 2.0 * problem.material.nu
 
 
 def _nu_free_system(disc: Discretization, p: float):
     """The parity-reduced system without its one nu-dependent term.
 
-    Every block but the Cauchy term (3-2nu)/(2(1-nu)n)/(t - s) of the
+    Every block but the Cauchy term c/(2(1-nu)n)/(t - s) of the
     normal-stress rows depends on (n, p) alone, so problems that differ
     only in nu share this part.  Returns (matrix, rhs, cauchy) with
     cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
-    :func:`_add_cauchy` scales for one nu.
+    :func:`_add_cauchy` scales for one nu.  Past the resolvability switch
+    the system is the n//2 x n//2 f-Cauchy block alone, with no kernel
+    pass and no g unknowns.
     """
     n = disc.n
     # nf unknowns f at s_i > 0 (f(0) = 0 for odd n) and ng unknowns g at
@@ -264,6 +286,11 @@ def _nu_free_system(disc: Discretization, p: float):
         out[:, :nf] += block[:, ng:]
         return out
 
+    rhs = np.zeros(n)
+    rhs[:nf] = -1.0
+    if _degenerate(p, n):
+        return np.zeros((nf, nf)), rhs[:nf], odd(1.0 / dt)
+
     k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
     # log_quadrature_weight at every U_{n-1} zero: a constant
     gn = -np.pi * np.log(2.0) / n
@@ -276,13 +303,11 @@ def _nu_free_system(disc: Discretization, p: float):
     recip = 1.0 / dt
 
     a_mat = np.zeros((n, n))
-    rhs = np.zeros(n)
 
     # normal-stress rows at t_k >= 0
     log_block = (lnp - k2n) / n + gn * lagrange / np.pi
     a_mat[:nf, :nf] = (2.0 / n) * odd(k1n)
     a_mat[:nf, nf:] = even(log_block)
-    rhs[:nf] = -1.0
 
     # couple-stress rows at t_k > 0 (the row at t = 0 is odd in t and
     # vanishes); the log/k2 coupling block is shared.  2/p/p rather than
@@ -300,11 +325,12 @@ def _nu_free_system(disc: Discretization, p: float):
 
 
 def _add_cauchy(a_mat: np.ndarray, cauchy: np.ndarray,
-                nu: float) -> np.ndarray:
-    """Add the nu-dependent Cauchy term to a :func:`_nu_free_system`
-    matrix, in place; returns the matrix."""
-    nf, n = cauchy.shape[0], a_mat.shape[0]
-    a_mat[:nf, :nf] += (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) * cauchy
+                problem: CrackProblem, n: int) -> np.ndarray:
+    """Add the nu-dependent Cauchy term of ``problem`` on the n-point grid
+    to a :func:`_nu_free_system` matrix, in place; returns the matrix."""
+    nf, nu = cauchy.shape[0], problem.material.nu
+    a_mat[:nf, :nf] += (_cauchy_factor(problem, n)
+                        / (2.0 * (1.0 - nu) * n) * cauchy)
     return a_mat
 
 
@@ -319,29 +345,13 @@ def assemble(problem: CrackProblem, disc: Discretization):
     the normal-stress condition at the collocation points t_k >= 0, the
     next (n-1)//2 rows the couple-stress condition at t_k > 0, and the
     last row the closure sum g = 0 (weight 2 on s > 0, 1 on s = 0); the
-    sum f = 0 closure holds by oddness.  Returns (matrix, rhs) without
-    row scaling.
+    sum f = 0 closure holds by oddness.  Past the resolvability switch
+    (a/ell > 2n, ell = 0 included) it is the n//2 x n//2 classical
+    degenerate system of the f unknowns and normal-stress rows alone.
+    Returns (matrix, rhs) without row scaling.
     """
-    p = problem.p
-    if not np.isfinite(p):
-        raise ValueError("assemble requires ell > 0; solve handles ell = 0")
-    a_mat, rhs, cauchy = _nu_free_system(disc, p)
-    return _add_cauchy(a_mat, cauchy, problem.material.nu), rhs
-
-
-def _classical_system(problem: CrackProblem, disc: Discretization):
-    """(matrix, rhs) of the n//2 x n//2 parity-reduced classical system:
-    f odd, unknowns at s_i > 0, Cauchy rows at t_k >= 0.
-
-    It discretizes -sigma0 = mu/(2 pi (1-nu)) int B/(x-xi) dxi, the single
-    Cauchy equation the couple-stress system degenerates to.
-    """
-    nu = problem.material.nu
-    n = disc.n
-    nf = n // 2
-    s, t = disc.nodes[:nf], disc.collocation[:nf]
-    cauchy = 1.0 / (t[:, None] - s[None, :]) - 1.0 / (t[:, None] + s[None, :])
-    return cauchy / (2.0 * (1.0 - nu) * n), -np.ones(nf)
+    a_mat, rhs, cauchy = _nu_free_system(disc, problem.p)
+    return _add_cauchy(a_mat, cauchy, problem, disc.n), rhs
 
 
 def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
@@ -379,26 +389,12 @@ def _solve_shared(problems, disc: Discretization):
     if any(prob.p != p for prob in problems):
         raise ValueError("problems solved together must share a/ell")
     n = disc.n
-
-    def where(prob):
-        return f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}"
-
-    if p > 2.0 * n:
-        if np.isfinite(p):
-            warnings.warn(
-                f"a/ell = {p:g} exceeds the kernel resolvability limit "
-                f"{2 * n} at n = {n}; solving the classical "
-                "degenerate system instead", RuntimeWarning, stacklevel=3)
-        sols = []
-        for prob in problems:
-            x, cond, residual = _factor_solve(
-                *_classical_system(prob, disc), where(prob))
-            sols.append(DensitySolution(
-                f_vals=_unfold(x, n)[0], g_vals=np.zeros(n), problem=prob,
-                disc=disc, condition=cond, residual=residual,
-                classical_degenerate=True))
-        return sols
-
+    degenerate = _degenerate(p, n)
+    if degenerate and np.isfinite(p):
+        warnings.warn(
+            f"a/ell = {p:g} exceeds the kernel resolvability limit "
+            f"{2 * n} at n = {n}; solving the classical "
+            "degenerate system instead", RuntimeWarning, stacklevel=3)
     base, rhs, cauchy = _nu_free_system(disc, p)
     if not np.all(np.isfinite(base)):
         raise SolverError(
@@ -412,37 +408,37 @@ def _solve_shared(problems, disc: Discretization):
 
     sols = []
     for prob in problems:
-        a_eq = _add_cauchy(base.copy(), cauchy, prob.material.nu)
+        a_eq = _add_cauchy(base.copy(), cauchy, prob, n)
         # row equilibration keeps the condition number flat across the
         # many orders of magnitude spanned by the 2/p^2 couple-stress
         # prefactor
         scale = np.max(np.abs(a_eq), axis=1)
         a_eq /= scale[:, None]
-        x, cond, residual = _factor_solve(a_eq, rhs / scale, where(prob))
+        x, cond, residual = _factor_solve(
+            a_eq, rhs / scale,
+            f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}")
         f, g = _unfold(x, n)
         sols.append(DensitySolution(
             f_vals=f, g_vals=g, problem=prob, disc=disc,
-            condition=cond, residual=residual))
+            condition=cond, residual=residual,
+            classical_degenerate=degenerate))
     return sols
 
 
 def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
     """Solve the discrete system by dense LU with partial pivoting.
 
-    The n x n parity-reduced system (see :func:`assemble`) is
-    equilibrated by rows and factored once.  The factors give both the
-    solution and ``condition``, LAPACK's 1-norm condition estimate
-    (gecon) of the folded, equilibrated matrix; ``residual`` is the
-    relative residual of that system.  The returned f and g hold all n
-    nodes, f odd and g even.
+    The parity-reduced system of :func:`assemble` is equilibrated by rows
+    and factored once.  The factors give both the solution and
+    ``condition``, LAPACK's 1-norm condition estimate (gecon) of the
+    folded, equilibrated matrix; ``residual`` is the relative residual of
+    that system.  The returned f and g hold all n nodes, f odd and g even.
 
-    Falls back to the classical degenerate system for p above 2n, the
-    resolvability limit of the couple-stress kernels on this grid, with a
-    warning, and for the classical material (ell = 0) without one.  The
-    returned solution is marked ``classical_degenerate`` and has g
-    identically zero, and its ``condition`` and ``residual`` are those of
-    the unscaled, folded n//2 x n//2 classical system, whose exact
-    solution is f(s) = 2 (1-nu) s.
+    For a/ell above 2n, the resolvability limit of the couple-stress
+    kernels on this grid, the system is the classical degenerate one, with
+    a warning; for the classical material (ell = 0) it is the same system
+    without one.  Its exact solution is f(s) = 2 (1-nu) s and g = 0, and
+    the returned solution is marked ``classical_degenerate``.
 
     Raises
     ------
@@ -452,4 +448,3 @@ def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
         the solution fails the 1e-10 relative-residual check.
     """
     return _solve_shared([problem], disc)[0]
-

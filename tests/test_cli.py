@@ -132,7 +132,11 @@ def test_malformed_config_exits_one(tmp_path, capsys):
                         (sweep + ["--p-min", "1", "--p-max", "inf"], (1,)),
                         (sweep + ["--p-min", "inf", "--p-max", "inf"], (1,)),
                         (sweep + ["--p-min", "1e-300", "--p-max", "1e-299"],
-                         (1, 2))):
+                         (1, 2)),
+                        # repeated p values, also as the CSV prints them
+                        (sweep + ["--p-min", "1", "--p-max", "1"], (1,)),
+                        (sweep + ["--p-min", "1",
+                                  "--p-max", "1.0000000000001"], (1,))):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv + ["--out", str(out)]) in codes, argv
@@ -294,11 +298,20 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
               for p in ("1e13", "1e15", "1e300")]
     grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
             "--y-min", "0", "--y-max", "1", "--y-num", "2"]
+    # scales at the ends of the float range overflow or underflow J; the
+    # one error line names the non-finite output (exit 2)
+    overflowed = [(["solve", "--sigma0", "1e160", "--n", "16"],
+                   "J in summary"),
+                  (["solve", "--mu", "1e-160", "--n", "16"], "J in summary"),
+                  (["baseline", "--sigma0", "1e300", "--n", "16"],
+                   "J in baseline"),
+                  (["solve", "--sigma0", "1e-300", "--n", "16"],
+                   "J_ratio in summary")]
     # inputs refused as configuration errors (exit 1)
     rejected = [["baseline", "--sigma0", "0", "--n", "16"],
                 ["solve", "--neartip-samples", "0", "--n", "16"],
                 ["baseline", "--profile-samples", "2", "--n", "16"]]
-    explicit += huge_p + rejected + [
+    explicit += huge_p + rejected + [argv for argv, _ in overflowed] + [
         ["field", "--b", b, "--omega", om, "--ell", ell] + grid
         for ell in ("1e-300", "1e-150", "1e300")
         for b, om in (("1", "0"), ("0", "1"))]
@@ -329,6 +342,10 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     for argv in rejected:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1, argv
         capsys.readouterr()
+    for argv, name in overflowed:
+        assert main(argv + ["--out", str(tmp_path / "never")]) == 2, argv
+        assert capsys.readouterr().err == (
+            f"numerical failure: non-finite {name}\n"), argv
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1
@@ -369,6 +386,40 @@ def test_failed_write_leaves_no_files(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "densities.csv", "keep.txt", "neartip.csv", "profiles.csv",
         "summary.json"]
+
+
+def test_profile_samples_checked_before_solving(tmp_path, monkeypatch,
+                                                capsys):
+    # refused with the other option checks: no solve runs first
+    def never(*args, **kwargs):
+        raise AssertionError("solved before checking --profile-samples")
+
+    monkeypatch.setattr(cli, "solve", never)
+    monkeypatch.setattr(cli, "classical_baseline", never)
+    for cmd in ("solve", "baseline"):
+        for samples in ("2", "0", "-5"):
+            assert main([cmd, "--n", "1024", "--profile-samples", samples,
+                         "--out", str(tmp_path / "never")]) == 1
+            assert capsys.readouterr().err == (
+                "error: --profile-samples must be at least 3\n")
+            assert not (tmp_path / "never").exists()
+
+
+def test_json_summaries_print_twelve_digits(tmp_path):
+    # computed values at the CSVs' 12 significant digits, so reruns are
+    # byte-identical; the config echo stays exact
+    a = 1.2345678901234567
+    for cmd, name in (("solve", "summary.json"),
+                      ("baseline", "baseline.json")):
+        out = tmp_path / cmd
+        assert main([cmd, "--n", "32", "--a", repr(a),
+                     "--out", str(out)]) == 0
+        rec = json.loads((out / name).read_text())
+        assert rec["config"]["a"] == a
+        floats = {k: v for k, v in rec.items() if isinstance(v, float)}
+        assert "K_I" in floats and "J" in floats
+        for key, value in floats.items():
+            assert value == float(format(value, ".12g")), key
 
 
 def test_sweep_empty_range_errors(tmp_path):
@@ -429,7 +480,8 @@ def test_baseline_outputs(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     rec = json.loads((tmp_path / "baseline.json").read_text())
-    assert rec["K_I"] == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+    # summaries print computed values at 12 significant digits
+    assert rec["K_I"] == float(format(np.sqrt(np.pi), ".12g"))
     assert rec["K_I_discrete_rel_err"] < 1e-6
     assert (tmp_path / "baseline_cod.csv").exists()
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cscrack import (CrackProblem, Discretization, MaterialParams,
-                     assemble, k3_reg, log_quadrature_weight, solve)
+from cscrack import (CrackProblem, DefectCharge, Discretization,
+                     MaterialParams, assemble, k3_reg, line_m_yz,
+                     line_sigma_yy, log_quadrature_weight, solve)
 from cscrack.post import endpoint_values, stress_intensity_factor
-from cscrack.sie import (_classical_system, _normalized_kernels,
-                         _solve_shared, _working_set_bytes)
+from cscrack.sie import (_normalized_kernels, _solve_shared,
+                         _working_set_bytes)
 
 EG = np.euler_gamma
 
@@ -145,6 +146,32 @@ def test_kernel_k3_delegates_to_regular_form():
     assert k3 == pytest.approx(k3_reg(dt, ell), rel=1e-14)
     assert k3[2] == 0.0
     assert k3[3] == -k3[4]
+
+
+def test_kernels_are_the_line_greens_functions():
+    # at mu = 1 and x = t - s (p = 1/ell) the solver's kernels are the
+    # PDE-checked line Green's functions: sigma_yy of a dislocation is its
+    # Cauchy term plus 2 k1/pi, both cross terms are -(k2 - ln w)/pi, and
+    # m_yz of a disclination is ell k3/(2 pi) plus its Cauchy term
+    mag = np.geomspace(1e-3, 50.0, 400)
+    dislocation = DefectCharge(b=1.0, omega=0.0)
+    disclination = DefectCharge(b=0.0, omega=1.0)
+    for ell in (0.3, 1.0, 4.0):
+        x = ell * np.concatenate([-mag[::-1], mag])
+        k1, k2, k3, lnw = _normalized_kernels(x, 1.0 / ell)
+        for nu in (0.0, 0.3, 0.5):
+            mat = MaterialParams(mu=1.0, nu=nu, ell=ell)
+            pairs = (
+                (line_sigma_yy(x, dislocation, mat),
+                 (3.0 - 2.0 * nu) / (2.0 * np.pi * (1.0 - nu) * x)
+                 + 2.0 * k1 / np.pi),
+                (line_sigma_yy(x, disclination, mat), -(k2 - lnw) / np.pi),
+                (line_m_yz(x, dislocation, mat), -(k2 - lnw) / np.pi),
+                (line_m_yz(x, disclination, mat),
+                 ell * k3 / (2.0 * np.pi) - 2.0 * ell ** 2 / (np.pi * x)))
+            for k, (got, want) in enumerate(pairs):
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-14, (ell, nu, k, err)
 
 
 # ------------------------------------------------------------ log quadrature
@@ -288,6 +315,10 @@ def test_classical_solution_is_linear_in_s():
     assert np.all(sol.g_vals == 0.0)
     assert np.allclose(sol.f_vals, 2.0 * (1.0 - 0.25) * d.nodes,
                        rtol=0.0, atol=1e-12)
+    # assemble returns the system solved: the f-Cauchy block alone
+    a_mat, rhs = assemble(prob, d)
+    assert a_mat.shape == (32, 32)
+    assert np.abs(a_mat @ sol.f_vals[:32] - rhs).max() < 1e-12
     # closed form K = sigma0 sqrt(pi a) = sqrt(pi)
     assert stress_intensity_factor(sol) / np.sqrt(np.pi) == pytest.approx(
         1.0, rel=0.0, abs=1e-12)
@@ -385,13 +416,18 @@ def test_condition_indicator_reported(solve_case):
         assert a_mat.shape == (n, n)
         kappa = _kappa_1(a_mat / np.max(np.abs(a_mat), axis=1)[:, None])
         assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), (nu, p)
-    # past the degenerate switch: the unscaled, folded classical system
-    sol = solve_case(0.3, 1e4, 64)
-    assert sol.classical_degenerate
-    a_cl = _classical_system(sol.problem, sol.disc)[0]
-    assert a_cl.shape == (32, 32)
-    kappa = _kappa_1(a_cl)
-    assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9)
+    # past the degenerate switch: the folded Cauchy equation of f alone,
+    # 1/(2(1-nu)n) [1/(t - s) - 1/(t + s)] at t_k >= 0 and s_i > 0,
+    # equilibrated by rows like every other system
+    for p, n in ((1e4, 64), (np.inf, 33)):
+        sol = solve_case(0.3, p, n)
+        assert sol.classical_degenerate
+        t, s = sol.disc.collocation[:n // 2], sol.disc.nodes[:n // 2]
+        a_cl = (1.0 / (t[:, None] - s[None, :])
+                - 1.0 / (t[:, None] + s[None, :])) / (2.0 * 0.7 * n)
+        a_cl /= np.max(np.abs(a_cl), axis=1)[:, None]
+        kappa = _kappa_1(a_cl)
+        assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), p
 
 
 def test_shared_solves_match_independent_solves():
