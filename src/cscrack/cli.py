@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .greens import DefectCharge, MaterialParams, full_field
-from .post import (_classical_closed_forms, classical_baseline,
-                   crack_profiles, stress_ahead, tip_quantities)
+from .post import (classical_baseline, crack_profiles, stress_ahead,
+                   tip_quantities)
 from .sie import (CrackProblem, Discretization, SolverError, _solve_shared,
                   solve)
 
@@ -121,17 +121,6 @@ def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
     return CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
 
 
-def _ratios(sol):
-    """(tip quantities, K_I ratio, J ratio) of one solution, the ratios
-    taken against the classical crack of the same a, sigma0, mu, nu."""
-    tip = tip_quantities(sol)
-    k_cl, j_cl = _classical_closed_forms(sol.problem)
-    # J and its classical value overflow or underflow at the ends of the
-    # float range; the ratio is then non-finite and _write_outputs names it
-    with np.errstate(all="ignore"):
-        return tip, tip.k_i / k_cl, np.divide(tip.j, j_cl)
-
-
 def _check_crack_args(args):
     """The checks solve and baseline share, made before solving."""
     if args.sigma0 == 0.0:
@@ -150,7 +139,7 @@ def _cmd_solve(args) -> int:
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
-    tip, k_ratio, j_ratio = _ratios(sol)
+    tip = tip_quantities(sol)
     config = dict(command="solve", nu=args.nu, p=args.p, n=args.n,
                   sigma0=args.sigma0, a=args.a, mu=args.mu,
                   format=args.format)
@@ -184,13 +173,13 @@ def _cmd_solve(args) -> int:
             "m_yz": myz,
             "m_yz_over_sigma0_ell": myz / (args.sigma0 * ell)},
     }
-    record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=k_ratio,
-                  J=tip.j, J_ratio=j_ratio, n=args.n,
+    record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=tip.k_ratio,
+                  J=tip.j, J_ratio=tip.j_ratio, n=args.n,
                   condition=sol.condition, residual=sol.residual,
                   classical_degenerate=sol.classical_degenerate)
     path = _write_outputs(Path(args.out), config, tables,
                           ("summary", record, args.format))
-    print(f"solve: K_I_ratio={_fmt(k_ratio)} J_ratio={_fmt(j_ratio)} "
+    print(f"solve: K_I_ratio={_fmt(tip.k_ratio)} J_ratio={_fmt(tip.j_ratio)} "
           f"-> {path}")
     return 0
 
@@ -228,8 +217,8 @@ def _cmd_sweep(args) -> int:
     for p in ps:
         sols = _solve_shared([_problem(nu, p) for nu in nus], disc)
         for nu, sol in zip(nus, sols):
-            _, kr, jr = _ratios(sol)
-            rows.append((1.0 / p, p, nu, kr, jr))
+            tip = tip_quantities(sol)
+            rows.append((1.0 / p, p, nu, tip.k_ratio, tip.j_ratio))
 
     config = dict(command="sweep", n=args.n, p_min=args.p_min,
                   p_max=args.p_max, p_steps=args.p_steps,

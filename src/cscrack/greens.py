@@ -71,7 +71,7 @@ __all__ = [
 # split where w = Y cosh(s) passes 1 need as many nodes in all.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
-# points per quadrature block: bounds the (points x nodes) temporaries
+# points per block: bounds the (points x nodes) temporaries, here and in post
 _BLOCK = 1024
 
 

@@ -12,26 +12,25 @@ interpolating polynomial) and evaluates:
 * normal stress and couple-stress ahead of the tip, using closed forms for
   the weighted Cauchy and logarithmic integrals outside the crack so the
   inverse-square-root blow-up is produced analytically;
-* the stress intensity factor and the energy release rate, in closed form
-  in f(1), g(1);
+* the stress intensity factor and the energy release rate, as their
+  classical closed forms times ratios read from f(1), g(1);
 * the classical-elasticity baseline: the same post-processing applied to
   the solution of the classical (ell = 0) crack, beside its closed forms.
 
-Stress intensity factor: combining the near-tip limit of the Cauchy term
-with the definition K_I = lim sqrt(2 pi (x-a)) sigma_yy(x, 0) gives
+Tip quantities: since int w(s) f(s)/(t-s) ds -> pi f(1)/sqrt(2(t-1)) as
+t -> 1+ and x - a = a (t-1), the definition K_I = lim sqrt(2 pi (x-a))
+sigma_yy(x, 0) and the energy release rate J give, against the classical
+K_cl = sigma0 sqrt(pi a) and J_cl = pi (1-nu) sigma0^2 a / (2 mu),
 
-    K_I = mu c / (2 (1-nu)) * sqrt(pi a) * (sigma0/mu) * f(1),
+    K_I / K_cl = c f(1) / (2 (1-nu)),
+    J / J_cl = (K_I / K_cl)^2 / c + (g(1)/p)^2 / (1-nu).
 
-since int w(s) f(s)/(t-s) ds -> pi f(1)/sqrt(2(t-1)) as t -> 1+ and
-x - a = a (t-1).  The energy release rate is
-
-    J = (mu pi a / 2) [ c/(4(1-nu)) F^2 + (ell/a)^2 G^2 ],
-
-with F, G the physical endpoint values sigma0 f(1)/mu, sigma0 g(1)/mu.
-The Cauchy factor c is that of the system solved (``sie._cauchy_factor``):
-3 - 2nu, or 1 for a solution marked classical-degenerate, whose g is
-identically zero.  So the classical K = sigma0 sqrt(pi a) follows from
-the same formula with c = 1 and f(1) = 2(1-nu).
+These ratios hold no a, sigma0 or mu, so they keep their digits at any
+scale.  The Cauchy factor c is that of the system solved
+(``sie._cauchy_factor``): 3 - 2nu, or 1 for a solution marked
+classical-degenerate, whose g is identically zero; the classical crack's
+f(1) = 2(1-nu) gives both ratios 1.  Sampled quantities are evaluated in
+row blocks of ``greens._BLOCK`` samples, which bounds their work arrays.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .greens import _BLOCK
 from .sie import (CrackProblem, DensitySolution, Discretization,
                   _cauchy_factor, _normalized_kernels,
                   chebyshev_coefficients, solve)
@@ -70,12 +70,16 @@ class CrackProfiles:
 
 @dataclass(frozen=True)
 class TipQuantities:
-    """Endpoint density values with the derived tip observables."""
+    """Endpoint density values with the derived tip observables: K_I and
+    J, and their ratios to the classical crack's (same a, sigma0, mu, nu).
+    """
 
     f1: float
     g1: float
     k_i: float
     j: float
+    k_ratio: float
+    j_ratio: float
 
 
 @dataclass(frozen=True)
@@ -90,14 +94,20 @@ class ClassicalBaseline:
     cod_discrete: np.ndarray
 
 
+def _in_blocks(rows, t):
+    """``rows`` (an array, or a tuple of them) on blocks of ``_BLOCK``
+    samples of the 1-D array t, joined along the samples: the m x n work
+    arrays of ``rows`` stay bounded in m."""
+    return np.concatenate([rows(t[lo:lo + _BLOCK])
+                           for lo in range(0, t.size or 1, _BLOCK)], axis=-1)
+
+
 def _jump_series(coeffs: np.ndarray, theta):
     """sum_{j>=1} (c_j / j) sin(j theta): the weighted antiderivative of
     the density interpolant, vanishing identically at theta = 0, pi."""
-    n = coeffs.size
-    j = np.arange(1, n)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.sin(np.outer(theta, j)) @ (coeffs[1:] / j)
-    return out
+    j = np.arange(1, coeffs.size)
+    return _in_blocks(lambda th: np.sin(np.outer(th, j)) @ (coeffs[1:] / j),
+                      theta)
 
 
 def crack_profiles(sol: DensitySolution, m_samples: int = 201) -> CrackProfiles:
@@ -132,36 +142,39 @@ def endpoint_values(sol: DensitySolution):
     return float(np.sum(cf)), float(np.sum(cg))
 
 
-def stress_intensity_factor(sol: DensitySolution) -> float:
-    """Mode-I stress intensity factor from the endpoint value f(1)."""
-    prob = sol.problem
-    f1, _ = endpoint_values(sol)
-    nu = prob.material.nu
-    return (_cauchy_factor(prob, sol.disc.n) / (2.0 * (1.0 - nu))
-            * np.sqrt(np.pi * prob.half_length)
-            * prob.remote_tension * f1)
-
-
-def j_integral(sol: DensitySolution) -> float:
-    """Energy release rate from the endpoint values f(1), g(1)."""
-    prob = sol.problem
-    nu = prob.material.nu
-    f1, g1 = endpoint_values(sol)
-    scale = prob.remote_tension / prob.material.mu
-    f_phys = scale * f1
-    lg_phys = 1.0 / prob.p * (scale * g1)     # (ell/a) G; 0 at ell = 0
-    # products, not **: a float ** that overflows raises, while the
-    # product is inf, which the CLI reports as a non-finite J
-    bracket = (_cauchy_factor(prob, sol.disc.n) / (4.0 * (1.0 - nu))
-               * f_phys * f_phys + lg_phys * lg_phys)
-    return 0.5 * np.pi * prob.material.mu * prob.half_length * bracket
+def _classical_closed_forms(problem: CrackProblem):
+    """(K, J) of the classical crack with the same a, sigma0, mu and nu:
+    K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
+    pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu)."""
+    a, sigma0 = problem.half_length, problem.remote_tension
+    mat = problem.material
+    return (sigma0 * np.sqrt(np.pi * a),
+            np.pi * (1.0 - mat.nu) * sigma0 * sigma0 * a / (2.0 * mat.mu))
 
 
 def tip_quantities(sol: DensitySolution) -> TipQuantities:
-    """Bundle f(1), g(1), K_I and J for reporting."""
+    """f(1), g(1), K_I, J and the ratios K_I/K_cl, J/J_cl: the only place
+    where the endpoint values become tip quantities."""
+    prob = sol.problem
+    nu = prob.material.nu
     f1, g1 = endpoint_values(sol)
-    return TipQuantities(f1=f1, g1=g1, k_i=stress_intensity_factor(sol),
-                         j=j_integral(sol))
+    c = _cauchy_factor(prob, sol.disc.n)
+    k_ratio = c * f1 / (2.0 * (1.0 - nu))
+    lg = g1 / prob.p                  # (ell/a) g(1); 0 at ell = 0
+    j_ratio = k_ratio * k_ratio / c + lg * lg / (1.0 - nu)
+    k_cl, j_cl = _classical_closed_forms(prob)
+    return TipQuantities(f1=f1, g1=g1, k_i=k_cl * k_ratio, j=j_cl * j_ratio,
+                         k_ratio=k_ratio, j_ratio=j_ratio)
+
+
+def stress_intensity_factor(sol: DensitySolution) -> float:
+    """Mode-I stress intensity factor (see :func:`tip_quantities`)."""
+    return tip_quantities(sol).k_i
+
+
+def j_integral(sol: DensitySolution) -> float:
+    """Energy release rate (see :func:`tip_quantities`)."""
+    return tip_quantities(sol).j
 
 
 def _exterior_cauchy(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -210,33 +223,27 @@ def stress_ahead(sol: DensitySolution, x):
     f, g = sol.f_vals, sol.g_vals
     cf, cg = sol.coefficients
 
-    syy = (1.0 + _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
-           * _exterior_cauchy(cf, t))
-    myz = np.zeros_like(syy)
-    if not sol.classical_degenerate:
-        # the couple-stress and regular-kernel terms, resolved for p <= 2n
-        p = prob.p
-        k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
-        syy = (syy + _exterior_log(cg, t, p) / np.pi
-               + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
-        myz = sigma0 * a * (-2.0 / (np.pi * p * p) * _exterior_cauchy(cg, t)
-                            + _exterior_log(cf, t, p) / np.pi
-                            - (1.0 / n) * (k2n @ f)
-                            + 1.0 / (2.0 * p * n) * (k3n @ g))
-    syy = sigma0 * syy
+    def rows(t):
+        syy = (1.0 + _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
+               * _exterior_cauchy(cf, t))
+        myz = np.zeros_like(syy)
+        if not sol.classical_degenerate:
+            # the couple-stress and regular-kernel terms, resolved for p <= 2n
+            p = prob.p
+            k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
+            syy = (syy + _exterior_log(cg, t, p) / np.pi
+                   + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
+            myz = sigma0 * a * (
+                -2.0 / (np.pi * p * p) * _exterior_cauchy(cg, t)
+                + _exterior_log(cf, t, p) / np.pi
+                - (1.0 / n) * (k2n @ f)
+                + 1.0 / (2.0 * p * n) * (k3n @ g))
+        return sigma0 * syy, myz
+
+    syy, myz = _in_blocks(rows, t)
     if scalar:
         return float(syy[0]), float(myz[0])
     return syy, myz
-
-
-def _classical_closed_forms(problem: CrackProblem):
-    """(K, J) of the classical crack with the same a, sigma0, mu and nu:
-    K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
-    pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu)."""
-    a, sigma0 = problem.half_length, problem.remote_tension
-    mat = problem.material
-    return (sigma0 * np.sqrt(np.pi * a),
-            np.pi * (1.0 - mat.nu) * sigma0 * sigma0 * a / (2.0 * mat.mu))
 
 
 def classical_baseline(problem: CrackProblem, n: int = 128,

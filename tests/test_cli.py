@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -298,20 +300,24 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
               for p in ("1e13", "1e15", "1e300")]
     grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
             "--y-min", "0", "--y-max", "1", "--y-num", "2"]
-    # scales at the ends of the float range overflow or underflow J; the
-    # one error line names the non-finite output (exit 2)
+    # scales at the ends of the float range that overflow J; the one
+    # error line names the non-finite output (exit 2)
     overflowed = [(["solve", "--sigma0", "1e160", "--n", "16"],
                    "J in summary"),
-                  (["solve", "--mu", "1e-160", "--n", "16"], "J in summary"),
                   (["baseline", "--sigma0", "1e300", "--n", "16"],
-                   "J in baseline"),
-                  (["solve", "--sigma0", "1e-300", "--n", "16"],
-                   "J_ratio in summary")]
+                   "J in baseline")]
+    # scales at which J is finite: J_ratio is read from f(1), g(1) alone,
+    # so it keeps every digit of the unit crack's, and J is its classical
+    # closed form times J_ratio; None leaves J unchecked (subnormal)
+    scaled = [(["solve", "--mu", "1e-160", "--n", "16"], 9.91583979957e+159),
+              (["solve", "--sigma0", "1e-300", "--n", "16"], 0.0),
+              (["solve", "--sigma0", "1e-160", "--n", "16"], None)]
     # inputs refused as configuration errors (exit 1)
     rejected = [["baseline", "--sigma0", "0", "--n", "16"],
                 ["solve", "--neartip-samples", "0", "--n", "16"],
                 ["baseline", "--profile-samples", "2", "--n", "16"]]
-    explicit += huge_p + rejected + [argv for argv, _ in overflowed] + [
+    explicit += huge_p + rejected + [
+        argv for argv, _ in overflowed + scaled] + [
         ["field", "--b", b, "--omega", om, "--ell", ell] + grid
         for ell in ("1e-300", "1e-150", "1e300")
         for b, om in (("1", "0"), ("0", "1"))]
@@ -346,6 +352,12 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "never")]) == 2, argv
         assert capsys.readouterr().err == (
             f"numerical failure: non-finite {name}\n"), argv
+    for k, (argv, j) in enumerate(scaled):
+        out = tmp_path / f"scaled{k}"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["J_ratio"] == 0.901802810862, argv
+        assert j is None or summary["J"] == j, argv
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1
@@ -498,3 +510,24 @@ def test_import_does_not_load_scipy_integrate():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_readme_command_lines(tmp_path, capsys):
+    # the README's "Command line" examples run as written, with --out moved
+    # under tmp_path, and write exactly the files that section names
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line")[1].split("\n## ")[0]
+    block = section.split("```")[1].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.strip()]
+    assert [argv[:2] for argv in commands] == [
+        ["cscrack", cmd] for cmd in ("solve", "sweep", "field", "baseline")]
+    written = set()
+    for argv in commands:
+        k = argv.index("--out") + 1
+        out = tmp_path / argv[k]
+        argv[k] = str(out)
+        assert main(argv[1:]) == 0, argv
+        written |= {path.name for path in out.iterdir()}
+    capsys.readouterr()
+    assert set(re.findall(r"`(\w+\.(?:csv|json))`", section)) == written

@@ -1,8 +1,11 @@
 """Post-processing: profiles, endpoint extraction, tip fields, K and J."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cscrack import post
 from cscrack import (CrackProblem, DensitySolution, Discretization,
                      MaterialParams, classical_baseline, crack_profiles,
                      endpoint_values, j_integral, stress_ahead,
@@ -165,6 +168,46 @@ def test_stress_ahead_degenerate_mode(solve_case):
     syy, myz = stress_ahead(sol, x)
     assert np.allclose(syy, x / np.sqrt(x * x - 1.0), rtol=1e-10)
     assert np.all(myz == 0.0)
+
+
+# ---------------------------------------------------- sampling in blocks
+
+def _near_tip(m):
+    return 1.0 + np.geomspace(1e-4, 2.0, m)
+
+
+def test_sampled_quantities_memory_is_bounded(solve_case):
+    # the m x n work arrays are built one block of samples at a time, so
+    # 20,000 samples peak near one block's 1,024 (one-shot evaluation:
+    # 20x for stress_ahead, 19x for crack_profiles at n = 128)
+    sol = solve_case(0.3, 10.0, 128)
+    sol.coefficients                   # cached before measuring
+
+    def peak(fn, arg):
+        tracemalloc.start()
+        try:
+            fn(sol, arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(stress_ahead, _near_tip(20000)) <= \
+        1.5 * peak(stress_ahead, _near_tip(1024))
+    assert peak(crack_profiles, 20000) <= 1.5 * peak(crack_profiles, 1024)
+
+
+@pytest.mark.parametrize("p", [10.0, 1e4])    # 1e4: classical-degenerate
+def test_blocks_match_one_block(solve_case, monkeypatch, p):
+    sol = solve_case(0.3, p, 128)
+    x = np.concatenate([_near_tip(1500), -_near_tip(1500)])
+    blocked = [*stress_ahead(sol, x), *vars(crack_profiles(sol, 3000))
+               .values()]
+    monkeypatch.setattr(post, "_BLOCK", 10 ** 6)
+    whole = [*stress_ahead(sol, x), *vars(crack_profiles(sol, 3000))
+             .values()]
+    for got, want in zip(blocked, whole):
+        assert got.shape == want.shape == (3000,)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # --------------------------------------------------------------- K and J

@@ -61,6 +61,11 @@ def test_linear_in_remote_tension(n, nu, p, sigma0, sign):
     tip, tip1 = tip_quantities(sol), tip_quantities(unit)
     assert tip.k_i == pytest.approx(sigma0 * tip1.k_i, rel=1e-13)
     assert tip.j == pytest.approx(sigma0 ** 2 * tip1.j, rel=1e-13)
+    # the ratios hold no sigma0 or mu: bitwise the unit crack's, also at
+    # scales where (sigma0/mu)^2 would leave the float range
+    for other in (tip, tip_quantities(_solve(n, nu, p, sigma0=1e-160)),
+                  tip_quantities(_solve(n, nu, p, mu=1e-160))):
+        assert (other.k_ratio, other.j_ratio) == (tip1.k_ratio, tip1.j_ratio)
     prof, prof1 = crack_profiles(sol, 9), crack_profiles(unit, 9)
     assert np.allclose(prof.delta_uy, sigma0 * prof1.delta_uy,
                        rtol=1e-13, atol=0.0)
