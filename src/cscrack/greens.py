@@ -30,8 +30,8 @@ Ryzhik 3.961.2), so both are finite integrals of Bessel functions:
 The singular part of the I11 integrand is integrated exactly, as X/R^2, so
 what is left stays free of cancellation as y -> 0.  After X' = Y sinh(s)
 (so dX'/rho = ds) one fixed Gauss-Legendre rule on [0, asinh(|X|/Y)]
-serves every point at once; on the line y = 0 the limits (pi/2) sgn(x)
-and -meijer_kernel(x, l)/4 apply.
+serves every point, block by block (:func:`_in_blocks`, shared with
+post); on y = 0 the limits (pi/2) sgn(x) and -meijer_kernel(x, l)/4 apply.
 
 Gauge: rigid-body terms are fixed so that, on y = 0+ and x > 0, the
 dislocation's normal displacement and the disclination's rotation vanish.
@@ -73,6 +73,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
 # points per block: bounds the (points x nodes) temporaries, here and in post
 _BLOCK = 1024
+
+
+def _in_blocks(rows, *arrays):
+    """``rows`` (an array, or a tuple of them) on blocks of ``_BLOCK``
+    points of the 1-D ``arrays``, joined along the points: the (points x
+    nodes) work arrays of ``rows`` stay bounded in the number of points."""
+    return np.concatenate(
+        [rows(*(arr[lo:lo + _BLOCK] for arr in arrays))
+         for lo in range(0, arrays[0].size or 1, _BLOCK)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -170,24 +179,22 @@ def _disclination_integrals(x, y):
 
     One Gauss-Legendre rule in s on [0, asinh(|X|/Y)], applied to blocks
     of ``_BLOCK`` points; both integrals are odd in X and vanish at X = 0.
+    Returns them as the rows of one (2, size) array.
     """
-    i10 = np.empty_like(x)
-    i11 = np.empty_like(x)
-    for lo in range(0, x.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        ax, yy = np.abs(x[blk]), y[blk]
-        half = 0.5 * np.arcsinh(ax / yy)            # half the range of s
+    def rows(x, y):
+        ax = np.abs(x)
+        half = 0.5 * np.arcsinh(ax / y)             # half the range of s
         cosh = np.cosh(half[:, None] * (_GL_NODES + 1.0))
-        w = yy[:, None] * cosh                      # rho at the nodes
+        w = y[:, None] * cosh                       # rho at the nodes
         _, r1, r2 = _regularised(w)
         # dX'/rho = ds: Y K1/rho dX' = Y K1 ds, and the regular rest of
         # the I11 integrand is [Y (r2 + 1/2)/cosh(s) + r1] ds
-        i10[blk] = half * ((yy[:, None] * (r1 + 1.0 / w)) @ _GL_WEIGHTS)
-        rest = half * ((yy[:, None] * (r2 + 0.5) / cosh + r1) @ _GL_WEIGHTS)
-        big_r = np.hypot(ax, yy)
-        i11[blk] = ax / big_r / big_r - rest
-    sgn = np.sign(x)
-    return sgn * i10, sgn * i11
+        i10 = half * ((y[:, None] * (r1 + 1.0 / w)) @ _GL_WEIGHTS)
+        rest = half * ((y[:, None] * (r2 + 0.5) / cosh + r1) @ _GL_WEIGHTS)
+        big_r = np.hypot(ax, y)
+        return i10, ax / big_r / big_r - rest
+
+    return np.sign(x) * _in_blocks(rows, x, y)
 
 
 def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:

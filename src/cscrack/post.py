@@ -1,9 +1,9 @@
 """Physical observables from a solved density field.
 
 The solver returns nodal values of the regular density parts f, g at the
-Chebyshev nodes.  Everything here expands them in Chebyshev series (the
-discrete cosine transform of the nodal values reproduces exactly the
-interpolating polynomial) and evaluates:
+Chebyshev nodes.  Everything here expands them, as the rows f, g of one
+array, in Chebyshev series by one cosine transform (exact for the
+interpolating polynomial) and evaluates each basis table once for both:
 
 * crack-face opening and rotation profiles, by term-wise weighted
   integration of the series;
@@ -29,8 +29,8 @@ These ratios hold no a, sigma0 or mu, so they keep their digits at any
 scale.  The Cauchy factor c is that of the system solved
 (``sie._cauchy_factor``): 3 - 2nu, or 1 for a solution marked
 classical-degenerate, whose g is identically zero; the classical crack's
-f(1) = 2(1-nu) gives both ratios 1.  Sampled quantities are evaluated in
-row blocks of ``greens._BLOCK`` samples, which bounds their work arrays.
+f(1) = 2(1-nu) gives both ratios 1.  Sampled quantities run in blocks of
+samples through ``greens._in_blocks``, which bounds their work arrays.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .greens import _BLOCK
+from .greens import _in_blocks
 from .sie import (CrackProblem, DensitySolution, Discretization,
                   _cauchy_factor, _normalized_kernels,
                   chebyshev_coefficients, solve)
@@ -94,20 +94,13 @@ class ClassicalBaseline:
     cod_discrete: np.ndarray
 
 
-def _in_blocks(rows, t):
-    """``rows`` (an array, or a tuple of them) on blocks of ``_BLOCK``
-    samples of the 1-D array t, joined along the samples: the m x n work
-    arrays of ``rows`` stay bounded in m."""
-    return np.concatenate([rows(t[lo:lo + _BLOCK])
-                           for lo in range(0, t.size or 1, _BLOCK)], axis=-1)
-
-
 def _jump_series(coeffs: np.ndarray, theta):
-    """sum_{j>=1} (c_j / j) sin(j theta): the weighted antiderivative of
-    the density interpolant, vanishing identically at theta = 0, pi."""
-    j = np.arange(1, coeffs.size)
-    return _in_blocks(lambda th: np.sin(np.outer(th, j)) @ (coeffs[1:] / j),
-                      theta)
+    """sum_{j>=1} (c_j / j) sin(j theta) for each row of ``coeffs``, from
+    one sine table per block: the weighted antiderivative of the density
+    interpolant, vanishing identically at theta = 0, pi."""
+    j = np.arange(1, coeffs.shape[-1])
+    weights = coeffs[..., 1:] / j
+    return _in_blocks(lambda th: weights @ np.sin(np.outer(j, th)), theta)
 
 
 def crack_profiles(sol: DensitySolution, m_samples: int = 201) -> CrackProfiles:
@@ -122,13 +115,11 @@ def crack_profiles(sol: DensitySolution, m_samples: int = 201) -> CrackProfiles:
     prob = sol.problem
     a = prob.half_length
     scale = prob.remote_tension / prob.material.mu
-    cf, cg = sol.coefficients
     theta = np.linspace(np.pi, 0.0, m_samples + 2)[1:-1]   # x increasing
-    x = a * np.cos(theta)
-    delta_uy = a * scale * _jump_series(cf, theta)
-    delta_omega = -scale * _jump_series(cg, theta)
-    return CrackProfiles(x_samples=x, delta_uy=delta_uy,
-                         delta_omega=delta_omega)
+    jump_f, jump_g = _jump_series(sol.coefficients, theta)
+    return CrackProfiles(x_samples=a * np.cos(theta),
+                         delta_uy=a * scale * jump_f,
+                         delta_omega=-scale * jump_g)
 
 
 def endpoint_values(sol: DensitySolution):
@@ -138,18 +129,20 @@ def endpoint_values(sol: DensitySolution):
     evaluated at s = 1 (T_j(1) = 1 for every j), i.e. the standard
     endpoint extraction; it reproduces polynomial data exactly.
     """
-    cf, cg = sol.coefficients
-    return float(np.sum(cf)), float(np.sum(cg))
+    f1, g1 = np.sum(sol.coefficients, axis=-1)
+    return float(f1), float(g1)
 
 
 def _classical_closed_forms(problem: CrackProblem):
     """(K, J) of the classical crack with the same a, sigma0, mu and nu:
     K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
-    pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu)."""
+    pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu).  J is formed with
+    sigma0/mu first, so it keeps its digits whenever it is a normal float
+    (sigma0^2 alone may overflow or underflow)."""
     a, sigma0 = problem.half_length, problem.remote_tension
     mat = problem.material
     return (sigma0 * np.sqrt(np.pi * a),
-            np.pi * (1.0 - mat.nu) * sigma0 * sigma0 * a / (2.0 * mat.mu))
+            0.5 * np.pi * (1.0 - mat.nu) * a * (sigma0 / mat.mu) * sigma0)
 
 
 def tip_quantities(sol: DensitySolution) -> TipQuantities:
@@ -177,28 +170,27 @@ def j_integral(sol: DensitySolution) -> float:
     return tip_quantities(sol).j
 
 
-def _exterior_cauchy(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """int_-1^1 w(s) fhat(s)/(t-s) ds for |t| > 1, exactly for the
-    interpolant: pi * sum_j c_j q^j / (sgn(t) sqrt(t^2-1)),
-    q = t - sgn(t) sqrt(t^2-1)."""
+def _exterior(coeffs: np.ndarray, t: np.ndarray, p):
+    """(cauchy, log): int_-1^1 w fhat/(t-s) ds and int_-1^1 w fhat
+    ln(p|t-s|) ds at |t| > 1, one row per row of ``coeffs``, exactly for
+    the interpolants.  With rt = sqrt(t^2-1) and q = t - sgn(t) rt, from
+    one power table of q, they are
+
+        pi sum_j c_j q^j / (sgn(t) rt)  and
+        c_0 pi ln(p(|t|+rt)/2) - pi sum_{j>=1} c_j q^j / j.
+
+    log is None for p None (a classical-degenerate solution: p may be inf).
+    """
     rt = np.sqrt(t * t - 1.0)
     sg = np.sign(t)
-    q = t - sg * rt
-    powers = q[:, None] ** np.arange(coeffs.size)[None, :]
-    return np.pi * (powers @ coeffs) / (sg * rt)
-
-
-def _exterior_log(coeffs: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
-    """int_-1^1 w(s) fhat(s) ln(p|t-s|) ds for |t| > 1, exactly for the
-    interpolant: c_0 pi ln(p(|t|+rt)/2) - pi sum_{j>=1} c_j q^j / j."""
-    rt = np.sqrt(t * t - 1.0)
-    sg = np.sign(t)
-    q = t - sg * rt
-    j = np.arange(1, coeffs.size)
-    powers = q[:, None] ** j[None, :]
-    out = coeffs[0] * np.pi * np.log(0.5 * p * (np.abs(t) + rt))
-    out = out - np.pi * (powers @ (coeffs[1:] / j))
-    return out
+    j = np.arange(coeffs.shape[-1])
+    powers = (t - sg * rt) ** j[:, None]
+    cauchy = np.pi * (coeffs @ powers) / (sg * rt)
+    if p is None:
+        return cauchy, None
+    log = (coeffs[:, :1] * np.pi * np.log(0.5 * p * (np.abs(t) + rt))
+           - np.pi * ((coeffs[:, 1:] / j[1:]) @ powers[1:]))
+    return cauchy, log
 
 
 def stress_ahead(sol: DensitySolution, x):
@@ -221,23 +213,23 @@ def stress_ahead(sol: DensitySolution, x):
     n = sol.disc.n
     s = sol.disc.nodes
     f, g = sol.f_vals, sol.g_vals
-    cf, cg = sol.coefficients
+    cauchy_f = _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
+    # couple-stress and regular-kernel terms only where resolved, p <= 2n
+    p = None if sol.classical_degenerate else prob.p
 
     def rows(t):
-        syy = (1.0 + _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
-               * _exterior_cauchy(cf, t))
-        myz = np.zeros_like(syy)
-        if not sol.classical_degenerate:
-            # the couple-stress and regular-kernel terms, resolved for p <= 2n
-            p = prob.p
-            k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
-            syy = (syy + _exterior_log(cg, t, p) / np.pi
-                   + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
-            myz = sigma0 * a * (
-                -2.0 / (np.pi * p * p) * _exterior_cauchy(cg, t)
-                + _exterior_log(cf, t, p) / np.pi
-                - (1.0 / n) * (k2n @ f)
-                + 1.0 / (2.0 * p * n) * (k3n @ g))
+        cauchy, log = _exterior(sol.coefficients, t, p)
+        syy = 1.0 + cauchy_f * cauchy[0]
+        if p is None:
+            return sigma0 * syy, np.zeros_like(syy)
+        k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
+        syy = (syy + log[1] / np.pi
+               + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
+        myz = sigma0 * a * (
+            -2.0 / (np.pi * p * p) * cauchy[1]
+            + log[0] / np.pi
+            - (1.0 / n) * (k2n @ f)
+            + 1.0 / (2.0 * p * n) * (k3n @ g))
         return sigma0 * syy, myz
 
     syy, myz = _in_blocks(rows, t)

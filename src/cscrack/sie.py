@@ -144,14 +144,14 @@ class DensitySolution:
     classical_degenerate: bool = False
 
     @cached_property
-    def coefficients(self):
-        """(c_f, c_g): Chebyshev coefficients of the f and g interpolants.
+    def coefficients(self) -> np.ndarray:
+        """Chebyshev coefficients of the f and g interpolants, as the rows
+        of one (2, n) array (``cf, cg = sol.coefficients`` unpacks them).
 
-        Computed on first use and kept with the solution, so every
-        post-processing call on it shares one transform of each density.
+        Computed on first use by one transform of both densities and kept
+        with the solution, so every post-processing call on it shares it.
         """
-        return (chebyshev_coefficients(self.f_vals),
-                chebyshev_coefficients(self.g_vals))
+        return chebyshev_coefficients(np.stack([self.f_vals, self.g_vals]))
 
 
 def _working_set_bytes(n: int) -> float:
@@ -176,12 +176,13 @@ def _physical_memory() -> float:
 
 def chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
     """Coefficients c_j of the degree n-1 interpolant sum c_j T_j through
-    the nodal values at the zeros of T_n (plain cosine transform)."""
+    the nodal values at the zeros of T_n (plain cosine transform), along
+    the last axis of ``vals``."""
     vals = np.asarray(vals, dtype=float)
-    n = vals.size
+    n = vals.shape[-1]
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
-    c = (2.0 / n) * np.cos(np.outer(np.arange(n), theta)) @ vals
-    c[0] *= 0.5
+    c = vals @ ((2.0 / n) * np.cos(np.outer(theta, np.arange(n))))
+    c[..., 0] *= 0.5
     return c
 
 

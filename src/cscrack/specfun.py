@@ -58,11 +58,6 @@ __all__ = [
 _SERIES_SWITCH = 1.0
 _SERIES_TERMS = 24
 
-# int_0^w K0 differs from pi/2 by < 1e-14 beyond this point; capping the
-# argument also keeps the I0 companion integral inside iti0k0 from
-# overflowing.
-_ITK0_TAIL = 30.0
-
 
 def _series_table():
     """Coefficients of the six power series in q = w^2/4, one per column.
@@ -140,15 +135,15 @@ def _regularised(w):
 
 
 def int_k0(w):
-    """int_0^w K0(v) dv for w >= 0; tends to pi/2 as w -> oo."""
+    """int_0^w K0(v) dv for w >= 0; tends to pi/2 as w -> oo.
+
+    scipy's iti0k0 returns this integral finite (pi/2) up to w = inf; its
+    I0 companion, unused here, overflows past w of about 710.
+    """
     w = np.asarray(w, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("int_k0 requires w >= 0")
-    out = np.where(
-        w < _ITK0_TAIL,
-        _sp.iti0k0(np.minimum(w, _ITK0_TAIL))[1],
-        0.5 * np.pi,
-    )
+    out = _sp.iti0k0(w)[1]
     return out if out.ndim else float(out)
 
 

@@ -308,10 +308,17 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
                    "J in baseline")]
     # scales at which J is finite: J_ratio is read from f(1), g(1) alone,
     # so it keeps every digit of the unit crack's, and J is its classical
-    # closed form times J_ratio; None leaves J unchecked (subnormal)
+    # closed form (formed with sigma0/mu first) times J_ratio; None leaves
+    # J unchecked (subnormal).  baseline writes the closed form itself
     scaled = [(["solve", "--mu", "1e-160", "--n", "16"], 9.91583979957e+159),
               (["solve", "--sigma0", "1e-300", "--n", "16"], 0.0),
-              (["solve", "--sigma0", "1e-160", "--n", "16"], None)]
+              (["solve", "--sigma0", "1e-160", "--n", "16"], None),
+              (["solve", "--sigma0", "1e200", "--mu", "1e200", "--n", "16"],
+               9.91583979957e+199),
+              (["solve", "--sigma0", "1e-160", "--mu", "1e-160", "--n", "16"],
+               9.91583979957e-161),
+              (["baseline", "--sigma0", "1e200", "--mu", "1e200", "--n", "16"],
+               1.09955742876e+200)]
     # inputs refused as configuration errors (exit 1)
     rejected = [["baseline", "--sigma0", "0", "--n", "16"],
                 ["solve", "--neartip-samples", "0", "--n", "16"],
@@ -355,9 +362,12 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     for k, (argv, j) in enumerate(scaled):
         out = tmp_path / f"scaled{k}"
         assert main(argv + ["--out", str(out)]) == 0, argv
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["J_ratio"] == 0.901802810862, argv
-        assert j is None or summary["J"] == j, argv
+        if argv[0] == "baseline":
+            record = json.loads((out / "baseline.json").read_text())
+        else:
+            record = json.loads((out / "summary.json").read_text())
+            assert record["J_ratio"] == 0.901802810862, argv
+        assert j is None or record["J"] == j, argv
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1

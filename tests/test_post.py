@@ -1,14 +1,15 @@
 """Post-processing: profiles, endpoint extraction, tip fields, K and J."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from cscrack import post
+from cscrack import greens
 from cscrack import (CrackProblem, DensitySolution, Discretization,
                      MaterialParams, classical_baseline, crack_profiles,
-                     endpoint_values, j_integral, stress_ahead,
+                     endpoint_values, j_integral, solve, stress_ahead,
                      stress_intensity_factor, tip_quantities)
 from cscrack.post import _jump_series, chebyshev_coefficients
 
@@ -40,6 +41,18 @@ def test_chebyshev_coefficients_reproduce_polynomials():
     expect = np.zeros(16)
     expect[0], expect[1], expect[3] = 1.0, 0.5, -0.25
     assert np.allclose(c, expect, atol=1e-13)
+
+
+def test_chebyshev_coefficients_transform_rows_at_once(solve_case):
+    # the (2, n) stack of f and g, as DensitySolution.coefficients builds
+    # it, gives each row's own transform
+    sol = solve_case(0.3, 10.0, 128)
+    stacked = chebyshev_coefficients(np.stack([sol.f_vals, sol.g_vals]))
+    assert stacked.shape == (2, 128)
+    for got, vals in zip(stacked, (sol.f_vals, sol.g_vals)):
+        want = chebyshev_coefficients(vals)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert np.array_equal(sol.coefficients, stacked)
 
 
 def test_endpoint_values_constant_and_linear_exactness():
@@ -202,12 +215,31 @@ def test_blocks_match_one_block(solve_case, monkeypatch, p):
     x = np.concatenate([_near_tip(1500), -_near_tip(1500)])
     blocked = [*stress_ahead(sol, x), *vars(crack_profiles(sol, 3000))
                .values()]
-    monkeypatch.setattr(post, "_BLOCK", 10 ** 6)
+    monkeypatch.setattr(greens, "_BLOCK", 10 ** 6)
     whole = [*stress_ahead(sol, x), *vars(crack_profiles(sol, 3000))
              .values()]
     for got, want in zip(blocked, whole):
         assert got.shape == want.shape == (3000,)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_classical_solution_post_processes_without_warnings():
+    # ell = 0: p is inf and g is zero, so the couple-stress terms
+    # (c_0 ln p among them) must not be evaluated at all
+    mat = MaterialParams(mu=1.0, nu=0.3, ell=0.0)
+    prob = CrackProblem(half_length=1.0, remote_tension=1.0, material=mat)
+    sol = solve(prob, Discretization.build(64))
+    assert sol.classical_degenerate
+    x = np.array([1.0 + 1e-6, 1.5, -4.0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        tq = tip_quantities(sol)
+        prof = crack_profiles(sol, m_samples=51)
+        syy, myz = stress_ahead(sol, x)
+    assert (tq.k_ratio, tq.j_ratio) == pytest.approx((1.0, 1.0), rel=1e-12)
+    assert np.all(prof.delta_omega == 0.0)
+    assert np.allclose(syy, np.abs(x) / np.sqrt(x * x - 1.0), rtol=1e-10)
+    assert np.all(myz == 0.0)
 
 
 # --------------------------------------------------------------- K and J

@@ -296,6 +296,19 @@ def test_int_k0_limits():
     assert int_k0(2.0) == pytest.approx(val, rel=1e-10)
 
 
+def test_int_k0_tail_against_mpmath():
+    # int_0^w K0 = (pi w/2)[K0 L_{-1} + K1 L_0] (Abramowitz & Stegun
+    # 11.1.8), at 30 digits; a cap at pi/2 from w = 30 on is off by 2.1e-14
+    mp = pytest.importorskip("mpmath")
+    ws = np.linspace(29.0, 40.0, 12)
+    with mp.workdps(30):
+        ref = [mp.pi * w / 2 * (mp.besselk(0, w) * mp.struvel(-1, w)
+                                + mp.besselk(1, w) * mp.struvel(0, w))
+               for w in ws]
+        err = [abs(mp.mpf(got) - r) for got, r in zip(int_k0(ws), ref)]
+    assert float(max(err)) <= 1e-15
+
+
 def test_scalar_calls_return_python_floats():
     # a scalar argument gives a plain float, not a 0-d array or numpy scalar
     for val in (k2_reg(0.3, 1.0), k0_log_reg(0.3, 1.0), k3_reg(-0.3, 1.0),
