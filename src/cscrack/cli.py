@@ -50,14 +50,15 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, config: dict, columns: dict):
     """One CSV file: '#' config echo, '#' column header, data rows."""
     names = list(columns)
-    arrays = [np.atleast_1d(np.asarray(columns[c], dtype=float))
-              for c in names]
-    length = arrays[0].size
+    # Python floats, converted once per column: formatting them is
+    # cheaper than formatting numpy scalars, and prints the same digits
+    lists = [np.atleast_1d(np.asarray(columns[c], dtype=float)).tolist()
+             for c in names]
     lines = [f"# {key}={config[key]}" for key in sorted(config)]
     lines.append("# columns: " + ",".join(names))
     lines.append(",".join(names))
-    for row in range(length):
-        lines.append(",".join(_fmt(col[row]) for col in arrays))
+    for row in zip(*lists, strict=True):
+        lines.append(",".join(format(v, ".12g") for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -159,9 +159,10 @@ def _working_set_bytes(n: int) -> float:
 
     The kernel pass holds about twenty n/2 x n arrays at once: dt, w, the
     evaluator's three outputs and its six series accumulators, the four
-    kernels, lagrange and recip.  tracemalloc peaks of :func:`solve`
-    measured 9.6 matrices at p = 0.3 (the series branch) and 6.0 at
-    p = 10, for n = 512 and 1024, and 10.2 at n = 64.
+    kernels, lagrange and recip; int_k0 adds its output and temporaries
+    of one block.  tracemalloc peaks of :func:`solve` measured 9.1
+    matrices at p = 0.3 (the series branch) and 6.0 at p = 10, for
+    n = 512 and 1024, and 9.7 and 7.2 at n = 64.
     """
     return 12 * 8.0 * float(n) ** 2
 

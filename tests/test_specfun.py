@@ -1,5 +1,8 @@
 """Special-function layer: oracles, limits, symmetry and branch continuity."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -7,7 +10,11 @@ from scipy import integrate, special
 from cscrack.greens import _bessel
 from cscrack.specfun import (int_k0, k0_log_reg, k2_reg, k3_reg,
                              meijer_kernel)
-from cscrack.specfun import _SERIES_SWITCH, _regularised_series
+from cscrack.specfun import (_INT_K0_BLOCK, _INT_K0_CAP, _INT_K0_SHIFT,
+                             _INT_K0_TAIL, _SERIES_SWITCH,
+                             _regularised_series)
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 EG = np.euler_gamma
 
@@ -291,22 +298,71 @@ def test_k1_minus_recip_branch_continuity():
 def test_int_k0_limits():
     assert int_k0(0.0) == 0.0
     assert int_k0(100.0) == pytest.approx(0.5 * np.pi, abs=1e-14)
+    assert int_k0(np.inf) == 0.5 * np.pi
+    assert np.isnan(int_k0(np.nan))
+    # w (1 - EulerGamma - ln(w/2)) at the least subnormal: about 3.7e-321
+    assert int_k0(5e-324) == pytest.approx(3.7e-321, rel=0.01)
     # independent quadrature
     val, _ = integrate.quad(special.k0, 1e-300, 2.0)
     assert int_k0(2.0) == pytest.approx(val, rel=1e-10)
 
 
-def test_int_k0_tail_against_mpmath():
-    # int_0^w K0 = (pi w/2)[K0 L_{-1} + K1 L_0] (Abramowitz & Stegun
-    # 11.1.8), at 30 digits; a cap at pi/2 from w = 30 on is off by 2.1e-14
+def _int_k0_mpmath(mp, w):
+    # int_0^w K0 = (pi w/2)[K0 L_{-1} + K1 L_0] (Abramowitz & Stegun 11.1.8)
+    w = mp.mpf(float(w))
+    if w == 0:
+        return mp.mpf(0)
+    return mp.pi * w / 2 * (mp.besselk(0, w) * mp.struvel(-1, w)
+                            + mp.besselk(1, w) * mp.struvel(0, w))
+
+
+def test_int_k0_against_mpmath():
+    # 30 digits over [0, 45]: both sides of the series switch and of the
+    # cap, and [9.5, 13], where scipy's iti0k0 was off by up to 2.8e-11
     mp = pytest.importorskip("mpmath")
-    ws = np.linspace(29.0, 40.0, 12)
+    ws = np.unique(np.concatenate([
+        np.linspace(0.0, 45.0, 91), np.linspace(9.5, 13.0, 36),
+        [1e-300, 1e-6, 1.0 - 1e-6, 1.0 + 1e-6, 40.0 - 1e-6, 40.0 + 1e-6]]))
     with mp.workdps(30):
-        ref = [mp.pi * w / 2 * (mp.besselk(0, w) * mp.struvel(-1, w)
-                                + mp.besselk(1, w) * mp.struvel(0, w))
-               for w in ws]
-        err = [abs(mp.mpf(got) - r) for got, r in zip(int_k0(ws), ref)]
-    assert float(max(err)) <= 1e-15
+        err = [abs(mp.mpf(got) - _int_k0_mpmath(mp, w))
+               for w, got in zip(ws, int_k0(ws))]
+    assert float(max(err)) <= 4e-16
+
+
+@pytest.mark.parametrize("w0", [_SERIES_SWITCH, _INT_K0_CAP])
+def test_int_k0_branch_continuity(w0):
+    # each branch switch is invisible: at most a few ulps across it
+    below = np.nextafter(w0, 0.0)
+    for f in (int_k0, lambda w: k3_reg(w, 1.0)):
+        jump = abs(f(below) - f(w0))
+        assert jump <= 4 * np.spacing(abs(f(w0))), (f, jump)
+
+
+def test_int_k0_blocks_and_shapes():
+    # a strided 2-D argument across several blocks gives each element the
+    # value of a scalar call
+    rng = np.random.default_rng(3)
+    w = rng.uniform(0.0, 50.0, (_INT_K0_BLOCK // 2 + 3, 9))[:, ::2]
+    got = int_k0(w)
+    assert got.shape == w.shape
+    picks = rng.integers(0, w.size, 40)
+    flat_w, flat_got = w.reshape(-1), got.reshape(-1)
+    for i in picks:
+        assert flat_got[i] == int_k0(float(flat_w[i]))
+
+
+def test_int_k0_coefficients_match_generator():
+    # the committed polynomial is the generator's output, bit for bit, on
+    # the intervals the evaluator uses
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location(
+        "int_k0_coefficients", TOOLS / "int_k0_coefficients.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert (tool.LOW, tool.CAP, tool.SHIFT) == (
+        _SERIES_SWITCH, _INT_K0_CAP, _INT_K0_SHIFT)
+    assert (np.array(tool.coefficients()).tobytes()
+            == _INT_K0_TAIL[:, 0].tobytes())
 
 
 def test_scalar_calls_return_python_floats():
