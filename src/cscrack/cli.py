@@ -373,10 +373,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# built once, at import: a build costs about a millisecond, mostly one
+# HelpFormatter per option, and parse_args leaves the parser unchanged
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

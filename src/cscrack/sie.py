@@ -27,6 +27,11 @@ follow by odd and even extension.
 Everything is assembled in nondimensional form (mu = a = sigma0 = 1); the
 only material inputs are nu and p = a/ell.  Post-processing rescales.
 
+Each system is equilibrated by rows and inverted once by numpy.linalg.
+The inverse gives the solution and the exact 1-norm condition number
+that is reported and checked; the Chebyshev coefficients of the solution
+come from one real FFT.  So the solver needs numpy alone.
+
 Extreme size ratios: for p above roughly 2n the couple-stress kernels act
 below quadrature resolution and the log-rule correction no longer matches
 the (by then logarithmic) k2 sums, which visibly pollutes the solution.
@@ -48,10 +53,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from .greens import MaterialParams
-from .specfun import _regularised, int_k0
+from .specfun import _regularised
 
 __all__ = [
     "CrackProblem",
@@ -130,7 +134,7 @@ class DensitySolution:
     the physical densities at xi = a*s_i are (sigma0/mu) * f_vals /
     sqrt(1 - s_i^2) and likewise for g.  Both hold all n nodes, extended
     from the parity-reduced unknowns, so f is exactly odd and g exactly
-    even.  ``condition`` is LAPACK's 1-norm condition estimate and
+    even.  ``condition`` is the exact 1-norm condition number kappa_1 and
     ``residual`` the relative residual of the folded, equilibrated system
     actually solved (see :func:`solve`).
     """
@@ -157,12 +161,13 @@ class DensitySolution:
 def _working_set_bytes(n: int) -> float:
     """Peak bytes a solve at n allocates, as twelve n x n float64 matrices.
 
-    The kernel pass holds about twenty n/2 x n arrays at once: dt, w, the
-    evaluator's three outputs and its six series accumulators, the four
-    kernels, lagrange and recip; int_k0 adds its output and temporaries
-    of one block.  tracemalloc peaks of :func:`solve` measured 9.1
-    matrices at p = 0.3 (the series branch) and 6.0 at p = 10, for
-    n = 512 and 1024, and 9.7 and 7.2 at n = 64.
+    The kernel pass holds about a dozen n/2 x n arrays at once: dt, w,
+    the evaluator's four outputs, the four kernels, lagrange and recip;
+    the evaluator's temporaries cover one block of its argument.  The
+    solve adds the matrix and its inverse.  tracemalloc peaks of
+    :func:`solve` measured 6.0 matrices at p = 0.3 (the series branch)
+    and at p = 10, for n = 512 and 1024, and 11.4 and 8.7 at n = 64,
+    where one block covers the whole kernel pass.
     """
     return 12 * 8.0 * float(n) ** 2
 
@@ -177,12 +182,18 @@ def _physical_memory() -> float:
 
 def chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
     """Coefficients c_j of the degree n-1 interpolant sum c_j T_j through
-    the nodal values at the zeros of T_n (plain cosine transform), along
-    the last axis of ``vals``."""
+    the nodal values v_i at the zeros of T_n, along the last axis of
+    ``vals``: c_j = (2/n) sum_i v_i cos(j theta_i), c_0 halved.
+
+    That sum is a DCT-II, computed by one real FFT of the even extension
+    [v, v reversed] of length 2n: its term j times e^{-i pi j/(2n)} is
+    2 sum_i v_i cos(j theta_i) (Makhoul 1980).
+    """
     vals = np.asarray(vals, dtype=float)
     n = vals.shape[-1]
-    theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
-    c = vals @ ((2.0 / n) * np.cos(np.outer(theta, np.arange(n))))
+    spectrum = np.fft.rfft(np.concatenate([vals, vals[..., ::-1]], axis=-1),
+                           axis=-1)[..., :n]
+    c = (np.exp(-0.5j * np.pi / n * np.arange(n)) * spectrum).real / n
     c[..., 0] *= 0.5
     return c
 
@@ -223,10 +234,10 @@ def _normalized_kernels(dt, p):
     there.  The collocation grid never evaluates t = s.
     """
     w = p * np.abs(dt)
-    k0_log, k1_recip, k2c = _regularised(w)
+    k0_log, k1_recip, k2c, integral = _regularised(w, integral=True)
     k1n = k2c / dt
     k2n = (0.5 + k2c) + k0_log
-    k3n = -4.0 * np.sign(dt) * (k1_recip + int_k0(w))
+    k3n = -4.0 * np.sign(dt) * (k1_recip + integral)
     lnp = np.log(w)
     return k1n, k2n, k3n, lnp
 
@@ -357,20 +368,21 @@ def assemble(problem: CrackProblem, disc: Discretization):
 
 
 def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
-    """Solve a_mat x = rhs from one LU factorization and check it.
+    """Solve a_mat x = rhs through the inverse and check it.
 
-    The same factors give LAPACK's 1-norm condition estimate (gecon;
-    Hager 1984, Higham 1988), which does not exceed kappa_1 and is rarely
-    below a third of it.  Returns (x, condition, relative residual).
+    The inverse gives both x = a_mat^-1 rhs and the exact 1-norm
+    condition number kappa_1 = ||a_mat||_1 ||a_mat^-1||_1.  Returns
+    (x, condition, relative residual).
     """
-    lu_piv = _linalg.lu_factor(a_mat, check_finite=False)
-    rcond, _ = _linalg.lapack.dgecon(lu_piv[0], np.linalg.norm(a_mat, 1),
-                                     norm="1")
-    cond = 1.0 / rcond if rcond > 0.0 else np.inf
+    try:
+        inverse = np.linalg.inv(a_mat)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"singular crack system at {where}") from None
+    cond = np.linalg.norm(a_mat, 1) * np.linalg.norm(inverse, 1)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SolverError(
             f"ill-conditioned crack system (cond ~ {cond:.2e}) at {where}")
-    x = _linalg.lu_solve(lu_piv, rhs, check_finite=False)
+    x = inverse @ rhs
     residual = np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs)
     if not residual < 1e-10:
         raise SolverError(
@@ -428,13 +440,14 @@ def _solve_shared(problems, disc: Discretization):
 
 
 def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
-    """Solve the discrete system by dense LU with partial pivoting.
+    """Solve the discrete system through its dense inverse.
 
     The parity-reduced system of :func:`assemble` is equilibrated by rows
-    and factored once.  The factors give both the solution and
-    ``condition``, LAPACK's 1-norm condition estimate (gecon) of the
-    folded, equilibrated matrix; ``residual`` is the relative residual of
-    that system.  The returned f and g hold all n nodes, f odd and g even.
+    and inverted once (numpy.linalg, LU with partial pivoting).  The
+    inverse gives both the solution and ``condition``, the exact 1-norm
+    condition number kappa_1 = ||A||_1 ||A^-1||_1 of the folded,
+    equilibrated matrix A; ``residual`` is the relative residual of that
+    system.  The returned f and g hold all n nodes, f odd and g even.
 
     For a/ell above 2n, the resolvability limit of the couple-stress
     kernels on this grid, the system is the classical degenerate one, with
@@ -446,7 +459,7 @@ def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
     ------
     SolverError
         If the system has non-finite coefficients (a/ell so small that
-        2/(a/ell)^2 overflows), the condition estimate exceeds 1e12 or
-        the solution fails the 1e-10 relative-residual check.
+        2/(a/ell)^2 overflows), is singular, has a condition number above
+        1e12 or its solution fails the 1e-10 relative-residual check.
     """
     return _solve_shared([problem], disc)[0]

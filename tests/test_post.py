@@ -43,6 +43,21 @@ def test_chebyshev_coefficients_reproduce_polynomials():
     assert np.allclose(c, expect, atol=1e-13)
 
 
+def test_chebyshev_coefficients_match_cosine_sum():
+    # the FFT form against the defining sum (2/n) sum_i v_i cos(j theta_i),
+    # within the n eps max|v| rounding of the sum itself, odd n included
+    rng = np.random.default_rng(5)
+    for n in (8, 9, 128, 513):
+        vals = rng.standard_normal((2, n))
+        theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
+        want = vals @ ((2.0 / n) * np.cos(np.outer(theta, np.arange(n))))
+        want[:, 0] *= 0.5
+        got = chebyshev_coefficients(vals)
+        assert got.shape == want.shape
+        bound = n * np.finfo(float).eps * np.max(np.abs(vals))
+        assert np.max(np.abs(got - want)) <= bound, n
+
+
 def test_chebyshev_coefficients_transform_rows_at_once(solve_case):
     # the (2, n) stack of f and g, as DensitySolution.coefficients builds
     # it, gives each row's own transform

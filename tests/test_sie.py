@@ -8,10 +8,10 @@ import pytest
 from scipy import integrate
 
 from cscrack import (CrackProblem, DefectCharge, Discretization,
-                     MaterialParams, assemble, k3_reg, line_m_yz,
-                     line_sigma_yy, log_quadrature_weight, solve)
+                     MaterialParams, SolverError, assemble, k3_reg,
+                     line_m_yz, line_sigma_yy, log_quadrature_weight, solve)
 from cscrack.post import endpoint_values, stress_intensity_factor
-from cscrack.sie import (_normalized_kernels, _solve_shared,
+from cscrack.sie import (_factor_solve, _normalized_kernels, _solve_shared,
                          _working_set_bytes)
 
 EG = np.euler_gamma
@@ -407,15 +407,15 @@ def _kappa_1(a_mat):
 def test_condition_indicator_reported(solve_case):
     sol = solve_case(0.3, 10.0, 128)
     assert 1.0 < sol.condition < 1e6
-    # LAPACK's estimate from the solve's own LU factors: a lower bound on
-    # the exact kappa_1 of the equilibrated matrix, rarely below a third
+    # the exact kappa_1 of the equilibrated matrix, from the solve's own
+    # inverse
     for nu, p, n in ((0.3, 10.0, 128), (0.0, 0.01, 64), (0.5, 100.0, 129),
                      (0.25, 1.0, 32), (0.3, 250.0, 128)):
         sol = solve_case(nu, p, n)
         a_mat, _ = assemble(sol.problem, sol.disc)   # the folded n x n
         assert a_mat.shape == (n, n)
         kappa = _kappa_1(a_mat / np.max(np.abs(a_mat), axis=1)[:, None])
-        assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), (nu, p)
+        assert sol.condition == pytest.approx(kappa, rel=1e-12), (nu, p)
     # past the degenerate switch: the folded Cauchy equation of f alone,
     # 1/(2(1-nu)n) [1/(t - s) - 1/(t + s)] at t_k >= 0 and s_i > 0,
     # equilibrated by rows like every other system
@@ -427,7 +427,20 @@ def test_condition_indicator_reported(solve_case):
                 - 1.0 / (t[:, None] + s[None, :])) / (2.0 * 0.7 * n)
         a_cl /= np.max(np.abs(a_cl), axis=1)[:, None]
         kappa = _kappa_1(a_cl)
-        assert 0.1 * kappa <= sol.condition <= kappa * (1.0 + 1e-9), p
+        assert sol.condition == pytest.approx(kappa, rel=1e-12), p
+
+
+def test_singular_or_ill_conditioned_system_is_a_solver_error():
+    # a singular matrix (numpy's LinAlgError) and one past the 1e12
+    # condition limit are both numerical failures naming where they arose
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(SolverError, match="singular crack system at here"):
+        _factor_solve(singular, np.ones(2), "here")
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        _factor_solve(np.diag([1.0, 1e-13]), np.ones(2), "here")
+    x, cond, residual = _factor_solve(np.diag([2.0, 4.0]), np.ones(2), "")
+    assert x.tolist() == [0.5, 0.25]
+    assert (cond, residual) == (2.0, 0.0)
 
 
 def test_shared_solves_match_independent_solves():

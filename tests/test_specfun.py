@@ -10,9 +10,9 @@ from scipy import integrate, special
 from cscrack.greens import _bessel
 from cscrack.specfun import (int_k0, k0_log_reg, k2_reg, k3_reg,
                              meijer_kernel)
-from cscrack.specfun import (_INT_K0_BLOCK, _INT_K0_CAP, _INT_K0_SHIFT,
-                             _INT_K0_TAIL, _SERIES_SWITCH,
-                             _regularised_series)
+from cscrack.specfun import (_BLOCK, _SERIES_SWITCH, _TAIL_CAP, _TAIL_SHIFT,
+                             _TAIL_TABLE, _regularised, _regularised_series,
+                             _tail)
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -125,6 +125,56 @@ def test_bessel_k_wide_range_against_mpmath():
             ref = float(mp.besselk(order, z) * mp.exp(z))
             assert special.kve(order, z) == pytest.approx(
                 ref, rel=1e-12), (order, z)
+
+
+def _err(mp, got, ref, unit):
+    """|got - ref| in units of ``unit`` (a float)."""
+    return float(abs(mp.mpf(float(got)) - ref)) / unit
+
+
+def test_k0_k1_no_worse_than_scipy():
+    # against 30-digit mpmath: K0 and K1 from the tail table on [1, 40),
+    # and the three combinations the evaluator returns from w = 1 on,
+    # across the cap and far beyond it, where the Bessel terms drop out.
+    # The yardstick is scipy.special's k0 and k1, alone and in the same
+    # combinations (the evaluator's formula before the table)
+    mp = pytest.importorskip("mpmath")
+    table = np.unique(np.concatenate([
+        np.linspace(1.0, 40.0, 53)[:-1], np.geomspace(1.0, 40.0, 20)[:-1],
+        [1.0 + 1e-6, 40.0 - 1e-9, np.nextafter(40.0, 0.0)]]))
+    ours = _tail(table, 2)
+    theirs = special.k0(table), special.k1(table)
+    worst = np.zeros((2, 2))
+    with mp.workdps(30):
+        for i, w in enumerate(table):
+            for order in (0, 1):
+                ref = mp.besselk(order, mp.mpf(float(w)))
+                worst[order] = np.maximum(worst[order], [
+                    _err(mp, got[i], ref, float(ref))
+                    for got in (ours[order], theirs[order])])
+    assert np.all(worst[:, 0] <= worst[:, 1]), worst
+    assert np.all(worst[:, 0] < 5e-16), worst
+
+    ws = np.concatenate([table[::2], [
+        1.0 - 1e-6, 40.0 + 1e-9, 40.5, 50.0, 100.0, 700.0, 1e3, 1e5, 1e300]])
+    rows = _regularised(ws)
+    k0, k1 = special.k0(ws), special.k1(ws)
+    with np.errstate(over="ignore"):        # w * w at w = 1e300
+        yardstick = (k0 + np.log(ws), k1 - 1.0 / ws,
+                     2.0 / (ws * ws) - (k0 + 2.0 * k1 / ws) - 0.5)
+    worst = np.zeros((3, 2))                # in ulps of each combination
+    with mp.workdps(30):
+        for i, w in enumerate(ws):
+            w = mp.mpf(float(w))
+            refs = (mp.besselk(0, w) + mp.log(w), mp.besselk(1, w) - 1 / w,
+                    2 / w ** 2 - mp.besselk(2, w) - mp.mpf(1) / 2)
+            for r, ref in enumerate(refs):
+                ulp = np.spacing(abs(float(ref)))
+                worst[r] = np.maximum(worst[r], [
+                    _err(mp, got[i], ref, ulp)
+                    for got in (rows[r], yardstick[r])])
+    # forming a combination rounds twice: two ulps are not a loss
+    assert np.all(worst[:, 0] <= np.maximum(worst[:, 1], 2.0)), worst
 
 
 def test_bessel_k_decay_and_small_argument():
@@ -329,7 +379,7 @@ def test_int_k0_against_mpmath():
     assert float(max(err)) <= 4e-16
 
 
-@pytest.mark.parametrize("w0", [_SERIES_SWITCH, _INT_K0_CAP])
+@pytest.mark.parametrize("w0", [_SERIES_SWITCH, _TAIL_CAP])
 def test_int_k0_branch_continuity(w0):
     # each branch switch is invisible: at most a few ulps across it
     below = np.nextafter(w0, 0.0)
@@ -342,7 +392,7 @@ def test_int_k0_blocks_and_shapes():
     # a strided 2-D argument across several blocks gives each element the
     # value of a scalar call
     rng = np.random.default_rng(3)
-    w = rng.uniform(0.0, 50.0, (_INT_K0_BLOCK // 2 + 3, 9))[:, ::2]
+    w = rng.uniform(0.0, 50.0, (_BLOCK // 2 + 3, 9))[:, ::2]
     got = int_k0(w)
     assert got.shape == w.shape
     picks = rng.integers(0, w.size, 40)
@@ -351,18 +401,31 @@ def test_int_k0_blocks_and_shapes():
         assert flat_got[i] == int_k0(float(flat_w[i]))
 
 
-def test_int_k0_coefficients_match_generator():
-    # the committed polynomial is the generator's output, bit for bit, on
-    # the intervals the evaluator uses
+def test_tail_coefficients_match_generator():
+    # the committed K0, K1 and int_0^w K0 table is the generator's output,
+    # bit for bit, on the intervals the evaluator uses
     pytest.importorskip("mpmath")
     spec = importlib.util.spec_from_file_location(
-        "int_k0_coefficients", TOOLS / "int_k0_coefficients.py")
+        "tail_coefficients", TOOLS / "tail_coefficients.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert (tool.LOW, tool.CAP, tool.SHIFT) == (
-        _SERIES_SWITCH, _INT_K0_CAP, _INT_K0_SHIFT)
-    assert (np.array(tool.coefficients()).tobytes()
-            == _INT_K0_TAIL[:, 0].tobytes())
+        _SERIES_SWITCH, _TAIL_CAP, _TAIL_SHIFT)
+    table = np.array(tool.coefficients())
+    assert table.shape == _TAIL_TABLE.shape == (tool.TERMS, 3)
+    assert table.tobytes() == _TAIL_TABLE.tobytes()
+    # the integral's column is zero-padded above its degree
+    assert not np.any(_TAIL_TABLE[tool.INT_TERMS:, 2])
+
+
+def test_least_subnormal_argument():
+    # w/2 underflows to 0 at w = 5e-324; ln w - ln 2 keeps every
+    # combination at its w -> 0 limit, without NaN or a warning
+    w = 5e-324
+    assert k0_log_reg(w, 1.0) == k0_log_reg(0.0, 1.0)
+    assert k2_reg(w, 1.0) == 0.5
+    assert k3_reg(w, 1.0) == -4.0 * int_k0(w)      # K1 - 1/w rounds to 0
+    assert np.all(np.isfinite(_regularised(np.array([w, 1e-323]), True)))
 
 
 def test_scalar_calls_return_python_floats():
