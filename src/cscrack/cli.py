@@ -2,9 +2,10 @@
 defect fields, and emit the classical baselines.
 
 Outputs are flat CSV files (comma-separated, '#'-prefixed header lines
-echoing the full configuration, 12 significant digits) plus a JSON or CSV
-summary record.  All physical columns are emitted in raw and normalized
-form.  Exit status: 0 success, 1 configuration error, 2 numerical failure.
+echoing every option of the command except --out, 12 significant digits)
+plus a JSON or CSV summary record that echoes the same options.  All
+physical columns are emitted in raw and normalized form.  Exit status:
+0 success, 1 configuration error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,22 +44,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# every computed number the CLI writes: CSV values, JSON summary values
+# and the values it prints
+_FMT = "%.12g"
+
+
 def _fmt(value) -> str:
-    return format(float(value), ".12g")
+    return _FMT % float(value)
 
 
 def _write_csv(path: Path, config: dict, columns: dict):
     """One CSV file: '#' config echo, '#' column header, data rows."""
     names = list(columns)
-    # Python floats, converted once per column: formatting them is
-    # cheaper than formatting numpy scalars, and prints the same digits
-    lists = [np.atleast_1d(np.asarray(columns[c], dtype=float)).tolist()
+    # Python floats, converted once per column and formatted one row per
+    # '%': cheaper than formatting numpy scalars, and the same digits
+    lists = [np.asarray(columns[c], dtype=float).ravel().tolist()
              for c in names]
+    row = ",".join([_FMT] * len(names))
     lines = [f"# {key}={config[key]}" for key in sorted(config)]
     lines.append("# columns: " + ",".join(names))
     lines.append(",".join(names))
-    for row in zip(*lists, strict=True):
-        lines.append(",".join(format(v, ".12g") for v in row))
+    lines += [row % values for values in zip(*lists, strict=True)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -72,17 +78,22 @@ def _write_json(path: Path, config: dict, record: dict):
                     encoding="utf-8")
 
 
-def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
+def _write_outputs(args, tables: dict, summary=None) -> list[Path]:
     """Write a command's CSV tables and its summary record, or nothing.
 
+    The files go to ``args.out`` and echo every other parsed option.
     ``tables`` maps file names to columns; ``summary`` is (path stem,
-    record, format).  Every value is checked before the output directory
+    record, format).  Returns the paths written, the tables' in order and
+    the summary's last.  Every value is checked before the output directory
     is created, so a non-finite result (say, an overflow at extreme
     --mu or --sigma0) is a numerical failure that leaves no files.  Each
     file is written under a temporary name in ``out`` and renamed only
     once all of them are written; a failed write removes the temporaries
     (and ``out``, if this call created it), so it leaves no partial file.
     """
+    out = Path(args.out)
+    config = {key: v for key, v in vars(args).items()
+              if key not in ("func", "out")}
     stem, record, fmt = summary if summary else (None, {}, None)
     numbers = {key: v for key, v in record.items()
                if isinstance(v, (int, float, np.floating))}
@@ -91,13 +102,12 @@ def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
             if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
                 raise SolverError(f"non-finite {col} in {name}")
     files = [(name, _write_csv, columns) for name, columns in tables.items()]
-    path = None
     if summary is not None:
-        path = (out / stem).with_suffix("." + fmt)
+        name = f"{stem}.{fmt}"
         if fmt == "json":
-            files.append((path.name, _write_json, record))
+            files.append((name, _write_json, record))
         else:
-            files.append((path.name, _write_csv,
+            files.append((name, _write_csv,
                           {k: [v] for k, v in numbers.items()}))
     created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
@@ -112,9 +122,10 @@ def _write_outputs(out: Path, config: dict, tables: dict, summary=None):
         if created:
             out.rmdir()
         raise
-    for tmp, (name, _, _) in zip(temps, files):
-        os.replace(tmp, out / name)
-    return path
+    paths = [out / name for name, _, _ in files]
+    for tmp, path in zip(temps, paths):
+        os.replace(tmp, path)
+    return paths
 
 
 def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
@@ -141,10 +152,6 @@ def _cmd_solve(args) -> int:
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
     tip = tip_quantities(sol)
-    config = dict(command="solve", nu=args.nu, p=args.p, n=args.n,
-                  sigma0=args.sigma0, a=args.a, mu=args.mu,
-                  format=args.format)
-
     prof = crack_profiles(sol, m_samples=args.profile_samples)
     scale_u = prob.material.mu / (args.sigma0 * args.a)
     ell = prob.material.ell
@@ -178,8 +185,7 @@ def _cmd_solve(args) -> int:
                   J=tip.j, J_ratio=tip.j_ratio, n=args.n,
                   condition=sol.condition, residual=sol.residual,
                   classical_degenerate=sol.classical_degenerate)
-    path = _write_outputs(Path(args.out), config, tables,
-                          ("summary", record, args.format))
+    *_, path = _write_outputs(args, tables, ("summary", record, args.format))
     print(f"solve: K_I_ratio={_fmt(tip.k_ratio)} J_ratio={_fmt(tip.j_ratio)} "
           f"-> {path}")
     return 0
@@ -191,7 +197,7 @@ def _cmd_sweep(args) -> int:
     if not 0.0 < args.p_min <= args.p_max < np.inf:
         raise ConfigError("need 0 < --p-min <= --p-max < inf")
     try:
-        nus = [float(v) for v in args.nu_list.split(",") if v.strip()]
+        nus = sorted(float(v) for v in args.nu_list.split(",") if v.strip())
     except ValueError as exc:
         raise ConfigError(f"bad --nu-list: {exc}") from None
     if not nus:
@@ -211,40 +217,31 @@ def _cmd_sweep(args) -> int:
     if len({_fmt(p) for p in ps}) < ps.size:
         raise ConfigError("--p-min, --p-max and --p-steps repeat a p value")
 
-    # the ratios do not depend on a, sigma0 or mu at fixed p, so the unit
+    # (K_I_ratio, J_ratio) on the (p, nu) grid, p descending and nu
+    # ascending: its ravel is the CSV's rows, ell/a ascending then nu.
+    # The ratios do not depend on a, sigma0 or mu at fixed p, so the unit
     # crack serves; the nus of one p share their (n, p) kernel matrices
+    ps = ps[::-1]
     disc = Discretization.build(args.n)
-    rows = []
-    for p in ps:
+    ratios = np.empty((ps.size, len(nus), 2))
+    for i, p in enumerate(ps):
         sols = _solve_shared([_problem(nu, p) for nu in nus], disc)
-        for nu, sol in zip(nus, sols):
-            tip = tip_quantities(sol)
-            rows.append((1.0 / p, p, nu, tip.k_ratio, tip.j_ratio))
+        for j, tip in enumerate(map(tip_quantities, sols)):
+            ratios[i, j] = tip.k_ratio, tip.j_ratio
+    p_grid, nu_grid = np.meshgrid(ps, nus, indexing="ij")
+    cols = {"ell_over_a": 1.0 / p_grid, "p": p_grid, "nu": nu_grid,
+            "K_I_ratio": ratios[..., 0], "J_ratio": ratios[..., 1]}
 
-    config = dict(command="sweep", n=args.n, p_min=args.p_min,
-                  p_max=args.p_max, p_steps=args.p_steps,
-                  log_spaced=args.log_spaced, nu_list=args.nu_list)
-
-    # one row per (ell/a, nu), sorted by ell/a then nu
-    rows.sort(key=lambda r: (r[0], r[2]))
-    cols = {key: [r[i] for r in rows] for i, key in
-            enumerate(("ell_over_a", "p", "nu", "K_I_ratio", "J_ratio"))}
-
-    flags = {}
-    for key, nu in zip(keys, nus):
-        kr = [r[3] for r in rows if r[2] == nu]
-        jr = [r[4] for r in rows if r[2] == nu]
-        flags[key] = {
-            "K_ratio_strictly_decreasing_in_ell_over_a":
-                bool(np.all(np.diff(kr) < 0.0)),
-            "J_ratio_strictly_decreasing_in_ell_over_a":
-                bool(np.all(np.diff(jr) < 0.0)),
-            "J_below_classical": bool(np.all(np.array(jr) < 1.0)),
-        }
-    out = Path(args.out)
-    path = _write_outputs(out, config, {"sweep.csv": cols},
-                          ("sweep_summary", {"monotonicity": flags}, "json"))
-    print(f"sweep: {len(rows)} rows -> {out / 'sweep.csv'}, flags -> {path}")
+    decreasing = np.all(np.diff(ratios, axis=0) < 0.0, axis=0)
+    below = np.all(ratios[..., 1] < 1.0, axis=0)
+    flags = {key: {"K_ratio_strictly_decreasing_in_ell_over_a": bool(k),
+                   "J_ratio_strictly_decreasing_in_ell_over_a": bool(j),
+                   "J_below_classical": bool(b)}
+             for key, (k, j), b in zip(keys, decreasing, below)}
+    csv, path = _write_outputs(args, {"sweep.csv": cols},
+                               ("sweep_summary", {"monotonicity": flags},
+                                "json"))
+    print(f"sweep: {p_grid.size} rows -> {csv}, flags -> {path}")
     return 0
 
 
@@ -255,6 +252,9 @@ def _cmd_field(args) -> int:
     charge = DefectCharge(b=args.b, omega=args.omega)
     xs = np.linspace(args.x_min, args.x_max, args.x_num)
     ys = np.linspace(args.y_min, args.y_max, args.y_num)
+    # a non-finite bound, or a spacing that overflows
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ConfigError("grid points must be finite")
     if np.any(ys < 0.0):
         raise ConfigError("grid extends below the half-plane: y must be >= 0")
     # rows run over x within each y
@@ -264,18 +264,12 @@ def _cmd_field(args) -> int:
         k = np.argmax(core)
         raise ConfigError(
             f"grid contains the defect core point ({x[k]:g}, {y[k]:g})")
-    config = dict(command="field", b=args.b, omega=args.omega, mu=args.mu,
-                  nu=args.nu, ell=args.ell, x_min=args.x_min,
-                  x_max=args.x_max, x_num=args.x_num, y_min=args.y_min,
-                  y_max=args.y_max, y_num=args.y_num)
     # an extreme ell overflows the Bessel terms; _write_outputs reports the
     # non-finite result as one line, so numpy need not warn first
     with np.errstate(all="ignore"):
         st = full_field(x, y, charge, mat)
-    data = {"x": x, "y": y, **vars(st)}
-    out = Path(args.out)
-    _write_outputs(out, config, {"field.csv": data})
-    print(f"field: {len(xs) * len(ys)} points -> {out / 'field.csv'}")
+    [path] = _write_outputs(args, {"field.csv": {"x": x, "y": y, **vars(st)}})
+    print(f"field: {x.size} points -> {path}")
     return 0
 
 
@@ -286,9 +280,6 @@ def _cmd_baseline(args) -> int:
                         material=mat)
     base = classical_baseline(prob, n=args.n,
                               m_samples=args.profile_samples)
-    config = dict(command="baseline", nu=args.nu, n=args.n,
-                  sigma0=args.sigma0, a=args.a, mu=args.mu,
-                  format=args.format)
     cod = {
         "x": base.x_samples,
         "x_over_a": base.x_samples / args.a,
@@ -299,8 +290,8 @@ def _cmd_baseline(args) -> int:
                   K_I_discrete_rel_err=abs(base.k_i_discrete - base.k_i)
                   / base.k_i,
                   J=base.j, n=args.n)
-    path = _write_outputs(Path(args.out), config, {"baseline_cod.csv": cod},
-                          ("baseline", record, args.format))
+    _, path = _write_outputs(args, {"baseline_cod.csv": cod},
+                             ("baseline", record, args.format))
     print(f"baseline: K_I={_fmt(base.k_i)} J={_fmt(base.j)} -> {path}")
     return 0
 

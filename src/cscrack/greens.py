@@ -31,7 +31,10 @@ The singular part of the I11 integrand is integrated exactly, as X/R^2, so
 what is left stays free of cancellation as y -> 0.  After X' = Y sinh(s)
 (so dX'/rho = ds) one fixed Gauss-Legendre rule on [0, asinh(|X|/Y)]
 serves every point, block by block (:func:`_in_blocks`, shared with
-post); on y = 0 the limits (pi/2) sgn(x) and -meijer_kernel(x, l)/4 apply.
+post).  On y = 0 the limits (pi/2) sgn(x) and -meijer_kernel(x, l)/4
+apply, and also wherever y <= 1e-16 |x|: they differ from the integrals
+by about y/|x|, while the fixed rule loses accuracy as ln(|x|/y) grows
+(NaN at subnormal y).
 
 Gauge: rigid-body terms are fixed so that, on y = 0+ and x > 0, the
 dislocation's normal displacement and the disclination's rotation vanish.
@@ -71,6 +74,11 @@ __all__ = [
 # split where w = Y cosh(s) passes 1 need as many nodes in all.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
+# y/|x| at and below which I10 and I11 take their y = 0 limits: the
+# limits are then within 1e-16 relative, the rule's error floor is about
+# 7e-14, and the rule loses digits as ln(|x|/y) grows
+_LINE = 1e-16
+
 # points per block: bounds the (points x nodes) temporaries, here and in post
 _BLOCK = 1024
 
@@ -109,6 +117,10 @@ class DefectCharge:
 
     b: float = 0.0
     omega: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.b) and np.isfinite(self.omega)):
+            raise ValueError("defect charges b and omega must be finite")
 
 
 @dataclass(frozen=True)
@@ -216,8 +228,8 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
     + Om I10/(2 pi l^2) (the I10 integrand is an eigenfunction of the
     Laplacian with eigenvalue 1/l^2).  I10 and I11 come from their closed
     form on the fixed Gauss-Legendre rule of the module docstring for
-    y > 0, and from their line limits on y = 0; no quadrature runs for a
-    pure dislocation (Omega = 0).
+    y > 1e-16 |x|, and from their line limits below; no quadrature runs
+    for a pure dislocation (Omega = 0).
     """
     if mat.ell <= 0.0:
         raise ValueError("full_field requires ell > 0")
@@ -233,7 +245,7 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
     i10 = np.zeros(x.shape)     # enter only through the rotation defect
     i11 = np.zeros(x.shape)
     if om != 0.0:
-        line = y == 0.0
+        line = y <= _LINE * np.abs(x)
         i10[line] = 0.5 * np.pi * np.sign(x[line])
         i11[line] = -0.25 * meijer_kernel(x[line], ell)
         i10[~line], i11[~line] = _disclination_integrals(x[~line] / ell,

@@ -1,5 +1,6 @@
 """Command-line driver: files, formats, determinism, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -145,6 +146,38 @@ def test_malformed_config_exits_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err, argv
         assert not out.exists(), argv
+
+
+def test_config_echo_lists_every_option(tmp_path):
+    # each file echoes every option of its command but --out: as a
+    # '# key=value' header line of each CSV, and under "config" in a JSON
+    # summary; an option left at its default echoes the default
+    commands = next(a for a in cli._PARSER._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
+            "--y-min", "0", "--y-max", "1", "--y-num", "2"]
+    for argv in (["solve"], ["solve", "--format", "csv"],
+                 ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "2"],
+                 ["field"] + grid, ["baseline"],
+                 ["baseline", "--format", "csv"]):
+        out = tmp_path / "-".join(argv[:3])
+        n = [] if argv[0] == "field" else ["--n", "16"]
+        assert main(argv + n + ["--out", str(out)]) == 0, argv
+        options = {a.dest: a for a in commands[argv[0]]._actions
+                   if a.option_strings and a.dest not in ("help", "out")}
+        for path in out.iterdir():
+            if path.suffix == ".csv":
+                lines = path.read_text().splitlines()
+                echo = dict(ln[2:].split("=", 1) for ln in lines
+                            if ln.startswith("# ") and "=" in ln)
+            else:
+                echo = {k: str(v) for k, v in
+                        json.loads(path.read_text())["config"].items()}
+            assert set(options) <= set(echo), (path.name,
+                                               set(options) - set(echo))
+            for dest, action in options.items():
+                if "--" + dest.replace("_", "-") not in argv + n:
+                    assert echo[dest] == str(action.default), (path, dest)
 
 
 def test_sweep_outputs_and_flags(tmp_path):
@@ -322,7 +355,13 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     # inputs refused as configuration errors (exit 1)
     rejected = [["baseline", "--sigma0", "0", "--n", "16"],
                 ["solve", "--neartip-samples", "0", "--n", "16"],
-                ["baseline", "--profile-samples", "2", "--n", "16"]]
+                ["baseline", "--profile-samples", "2", "--n", "16"],
+                # non-finite charges and grid points (the last value of a
+                # repeated option wins)
+                ["field", "--b", "nan"] + grid,
+                ["field", "--omega", "inf"] + grid,
+                ["field"] + grid + ["--x-min", "nan"],
+                ["field"] + grid + ["--y-max", "inf"]]
     explicit += huge_p + rejected + [
         argv for argv, _ in overflowed + scaled] + [
         ["field", "--b", b, "--omega", om, "--ell", ell] + grid

@@ -291,6 +291,23 @@ def test_field_near_line_matches_line_branch():
             name
 
 
+def test_field_just_off_the_line_takes_the_line_limits():
+    # below y = 1e-16 |x| the integrals equal their y = 0 limits to about
+    # y/|x| (30- and 130-digit mpmath give I10 = pi/2 and I11 = its limit
+    # in double at x/l = 1, y/l = 1e-30 and 1e-100), where the fixed rule
+    # loses digits (2.9e-7 in I10 at y/l = 1e-200) and gives NaN at
+    # subnormal y
+    x = MAT.ell * np.array([-1.0, 0.01, 1.0, 6.0])
+    on = full_field(x, 0.0, MIXED, MAT)
+    for y in (1e-30, 1e-200, 1e-310):
+        near = full_field(x, y * MAT.ell, MIXED, MAT)
+        for name in ("sxx", "syy", "sxy", "syx", "mxz", "myz", "ux", "uy",
+                     "omega"):
+            a, b = getattr(near, name), getattr(on, name)
+            assert np.all(np.abs(a - b)
+                          <= 1e-13 * np.maximum(1.0, np.abs(b))), (name, y)
+
+
 def test_full_field_arrays_match_scalar_calls():
     # more points than one quadrature block, with the y = 0 row, the x = 0
     # column and y/l down to 1e-8

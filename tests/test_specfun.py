@@ -114,17 +114,7 @@ def test_bessel_series_vs_asymptotic_cross_check():
         s = _kn_series(order, 10.0, terms=80)
         a = _kn_asymptotic(order, 10.0)
         assert s == pytest.approx(a, rel=1e-9)
-        assert special.kv(order, 10.0) == pytest.approx(s, rel=1e-12)
-
-
-def test_bessel_k_wide_range_against_mpmath():
-    mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 30
-    for order in (0, 1, 2):
-        for z in (1e-8, 1e-4, 0.1, 1.0, 5.0, 50.0, 300.0, 700.0):
-            ref = float(mp.besselk(order, z) * mp.exp(z))
-            assert special.kve(order, z) == pytest.approx(
-                ref, rel=1e-12), (order, z)
+        assert _k012(10.0)[order] == pytest.approx(s, rel=1e-12)
 
 
 def _err(mp, got, ref, unit):
@@ -178,24 +168,18 @@ def test_k0_k1_no_worse_than_scipy():
 
 
 def test_bessel_k_decay_and_small_argument():
-    assert special.k0(700.0) < 1e-300
-    # K2 ~ 2/z^2 leading behavior, also as the field forms it
+    assert 0.0 <= _k012(700.0)[0] < 1e-300
+    # K2 ~ 2/z^2 leading behavior, as the field forms it
     z = 1e-6
-    assert special.kv(2, z) * z * z / 2.0 == pytest.approx(1.0, rel=1e-6)
     assert _k012(z)[2] * z * z / 2.0 == pytest.approx(1.0, rel=1e-6)
 
 
-def test_bessel_k_scaled_variant():
-    z = 600.0
-    assert special.k1e(z) == pytest.approx(np.sqrt(0.5 * np.pi / z),
-                                           rel=1e-2)
-
-
 def test_bessel_recurrence():
-    # K2(z) = K0(z) + (2/z) K1(z), scaled form for the huge arguments
-    for z in np.geomspace(1e-6, 600.0, 40):
-        k0, k1, k2 = (special.kve(i, z) for i in (0, 1, 2))
-        assert k2 == pytest.approx(k0 + 2.0 / z * k1, rel=1e-11)
+    # K2(z) = K0(z) + (2/z) K1(z) on the series branch (z < 1), where the
+    # evaluator forms 2/z^2 - K2 from its own series, not from K0 and K1
+    for z in np.geomspace(1e-6, 0.99, 40):
+        k0, k1, k2 = _k012(z)
+        assert k2 == pytest.approx(k0 + 2.0 / z * k1, rel=1e-13)
 
 
 def test_bessel_k0_derivative_is_minus_k1():
