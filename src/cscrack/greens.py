@@ -28,13 +28,16 @@ Ryzhik 3.961.2), so both are finite integrals of Bessel functions:
     I11 = X/R^2 - int_0^X [Y^2 (2/rho^2 - K2)/rho^2 + (K1 - 1/rho)/rho] dX'.
 
 The singular part of the I11 integrand is integrated exactly, as X/R^2, so
-what is left stays free of cancellation as y -> 0.  After X' = Y sinh(s)
-(so dX'/rho = ds) one fixed Gauss-Legendre rule on [0, asinh(|X|/Y)]
-serves every point, block by block (:func:`_in_blocks`, shared with
-post).  On y = 0 the limits (pi/2) sgn(x) and -meijer_kernel(x, l)/4
-apply, and also wherever y <= 1e-16 |x|: they differ from the integrals
-by about y/|x|, while the fixed rule loses accuracy as ln(|x|/y) grows
-(NaN at subnormal y).
+what is left stays free of cancellation as y -> 0.  Beyond rho = 40 the
+Bessel terms are below an ulp: the I10 integrand vanishes and the rest of
+the I11 integrand is d(X'/rho^2)/dX'.  So both integrals stop at
+Xc = min(|X|, sqrt(40^2 - Y^2)), and I11 = Xc/Rc^2 - int_0^Xc [...] dX'.
+After X' = Y sinh(s) (so dX'/rho = ds) one fixed Gauss-Legendre rule on
+[0, asinh(Xc/Y)] serves every point, block by block (:func:`_in_blocks`,
+shared with post).  On y = 0 the limits (pi/2) sgn(x) and
+-meijer_kernel(x, l)/4 apply, and also wherever y <= 1e-16 min(|x|, l):
+they differ from the integrals by about y/min(|x|, l), while the fixed
+rule loses accuracy as ln(Xc/Y) grows (NaN at subnormal y).
 
 Gauge: rigid-body terms are fixed so that, on y = 0+ and x > 0, the
 dislocation's normal displacement and the disclination's rotation vanish.
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _regularised, meijer_kernel
+from .specfun import _TAIL_CAP, _regularised, meijer_kernel
 
 __all__ = [
     "MaterialParams",
@@ -70,13 +73,16 @@ __all__ = [
 # Gauss-Legendre rule for I10 and I11 in s = asinh(X'/Y), one panel.  On a
 # grid of y/l in [1e-8, 50] and |x|/l in [1e-4, 1e3], against 30-digit
 # references, the worst error (relative to max(1, |I|)) is 2.7e-14 at 96
-# nodes, 9.6e-13 at 80 and 2.6e-10 at 64, worst at y/l ~ 1e-8.  Two panels
-# split where w = Y cosh(s) passes 1 need as many nodes in all.
+# nodes, 9.6e-13 at 80 and 2.6e-10 at 64, worst at y/l ~ 1e-8; at 96
+# nodes it is 2.9e-14 out to |x|/l = 1e17, the cut at rho = 40 keeping
+# the range of s at most asinh(40 l/y).  Two panels split where
+# w = Y cosh(s) passes 1 need as many nodes in all.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(96)
 
-# y/|x| at and below which I10 and I11 take their y = 0 limits: the
-# limits are then within 1e-16 relative, the rule's error floor is about
-# 7e-14, and the rule loses digits as ln(|x|/y) grows
+# y/min(|x|, l) at and below which I10 and I11 take their y = 0 limits:
+# the limits then differ from the integrals by about 1e-16 (they differ
+# by about Y/X for X < 1 and by about Y for X > 1), the rule's error
+# floor is about 7e-14, and the rule loses digits as ln(Xc/Y) grows
 _LINE = 1e-16
 
 # points per block: bounds the (points x nodes) temporaries, here and in post
@@ -189,13 +195,16 @@ def line_m_yz(x, charge: DefectCharge, mat: MaterialParams):
 def _disclination_integrals(x, y):
     """(I10, I11) at 1-D arrays x = X, y = Y > 0, in units of l.
 
-    One Gauss-Legendre rule in s on [0, asinh(|X|/Y)], applied to blocks
-    of ``_BLOCK`` points; both integrals are odd in X and vanish at X = 0.
-    Returns them as the rows of one (2, size) array.
+    One Gauss-Legendre rule in s on [0, asinh(Xc/Y)], Xc the cut of the
+    module docstring, applied to blocks of ``_BLOCK`` points; both
+    integrals are odd in X and vanish at X = 0.  Returns them as the rows
+    of one (2, size) array.
     """
     def rows(x, y):
-        ax = np.abs(x)
-        half = 0.5 * np.arcsinh(ax / y)             # half the range of s
+        # X' where rho = Y cosh(s) reaches _TAIL_CAP, or |X| if it is nearer
+        xc = np.minimum(np.abs(x),
+                        np.sqrt(np.maximum(_TAIL_CAP ** 2 - y * y, 0.0)))
+        half = 0.5 * np.arcsinh(xc / y)             # half the range of s
         cosh = np.cosh(half[:, None] * (_GL_NODES + 1.0))
         w = y[:, None] * cosh                       # rho at the nodes
         _, r1, r2 = _regularised(w)
@@ -203,8 +212,8 @@ def _disclination_integrals(x, y):
         # the I11 integrand is [Y (r2 + 1/2)/cosh(s) + r1] ds
         i10 = half * ((y[:, None] * (r1 + 1.0 / w)) @ _GL_WEIGHTS)
         rest = half * ((y[:, None] * (r2 + 0.5) / cosh + r1) @ _GL_WEIGHTS)
-        big_r = np.hypot(ax, y)
-        return i10, ax / big_r / big_r - rest
+        big_r = np.hypot(xc, y)
+        return i10, xc / big_r / big_r - rest
 
     return np.sign(x) * _in_blocks(rows, x, y)
 
@@ -228,8 +237,8 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
     + Om I10/(2 pi l^2) (the I10 integrand is an eigenfunction of the
     Laplacian with eigenvalue 1/l^2).  I10 and I11 come from their closed
     form on the fixed Gauss-Legendre rule of the module docstring for
-    y > 1e-16 |x|, and from their line limits below; no quadrature runs
-    for a pure dislocation (Omega = 0).
+    y > 1e-16 min(|x|, l), and from their line limits below; no
+    quadrature runs for a pure dislocation (Omega = 0).
     """
     if mat.ell <= 0.0:
         raise ValueError("full_field requires ell > 0")
@@ -245,7 +254,7 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
     i10 = np.zeros(x.shape)     # enter only through the rotation defect
     i11 = np.zeros(x.shape)
     if om != 0.0:
-        line = y <= _LINE * np.abs(x)
+        line = y <= _LINE * np.minimum(np.abs(x), ell)
         i10[line] = 0.5 * np.pi * np.sign(x[line])
         i11[line] = -0.25 * meijer_kernel(x[line], ell)
         i10[~line], i11[~line] = _disclination_integrals(x[~line] / ell,

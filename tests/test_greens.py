@@ -187,6 +187,11 @@ _MP_GRID = [
     (1, 50, 3.432312971698434e-23, 3.466898972598447e-23),
     (6, 50, 1.8375268740249423e-22, 1.8519664501476122e-22),
     (1000.0, 50, 3.0296731764879176e-22, 3.029673176487925e-22),
+    # far from the core, where the rule stops at rho = 40
+    (1e6, 1e-10, 1.570796326637817, 1.570796326637817),
+    (1e10, 0.001, 1.5692263156045312, 1.5692263156045312),
+    (1e17, 1e-08, 1.5707963110869334, 1.5707963110869334),
+    (1e17, 1, 0.5778636748954609, 0.5778636748954609),     # (pi/2) e^-1
 ]
 
 
@@ -279,33 +284,32 @@ def test_full_field_line_values_match_line_functions():
 
 
 def test_field_near_line_matches_line_branch():
-    # y/l = 1e-8 reproduces the y = 0 branch (the line limits of I10, I11)
+    # near y = 0 the field approaches the y = 0 branch (the line limits of
+    # I10, I11): at y/l = 1e-8 to about 1e-8, and below y = 1e-16 min(|x|,
+    # l), where full_field takes the limits themselves, to the rule's
+    # error floor (the rule alone loses digits there, 2.9e-7 in I10 at
+    # x/l = 1, y/l = 1e-200, and gives NaN at subnormal y)
     mat = MaterialParams(mu=1.3, nu=0.3, ell=0.8)
-    x = mat.ell * np.array([-30.0, -2.0, -0.3, 0.3, 0.7, 4.0, 900.0])
+    x = mat.ell * np.array([-30.0, -2.0, -1.0, -0.3, 0.3, 0.7, 1.0, 4.0,
+                            6.0, 900.0, 1e6, 1e17])
     on = full_field(x, 0.0, MIXED, mat)
-    near = full_field(x, 1e-8 * mat.ell, MIXED, mat)
-    for name in ("sxx", "syy", "sxy", "syx", "mxz", "myz", "ux", "uy",
-                 "omega"):
-        a, b = getattr(near, name), getattr(on, name)
-        assert np.all(np.abs(a - b) <= 1e-6 * np.maximum(1.0, np.abs(b))), \
-            name
-
-
-def test_field_just_off_the_line_takes_the_line_limits():
-    # below y = 1e-16 |x| the integrals equal their y = 0 limits to about
-    # y/|x| (30- and 130-digit mpmath give I10 = pi/2 and I11 = its limit
-    # in double at x/l = 1, y/l = 1e-30 and 1e-100), where the fixed rule
-    # loses digits (2.9e-7 in I10 at y/l = 1e-200) and gives NaN at
-    # subnormal y
-    x = MAT.ell * np.array([-1.0, 0.01, 1.0, 6.0])
-    on = full_field(x, 0.0, MIXED, MAT)
-    for y in (1e-30, 1e-200, 1e-310):
-        near = full_field(x, y * MAT.ell, MIXED, MAT)
+    for y, tol in ((1e-8, 1e-6), (1e-30, 1e-13), (1e-200, 1e-13),
+                   (1e-310, 1e-13)):
+        near = full_field(x, y * mat.ell, MIXED, mat)
         for name in ("sxx", "syy", "sxy", "syx", "mxz", "myz", "ux", "uy",
                      "omega"):
             a, b = getattr(near, name), getattr(on, name)
-            assert np.all(np.abs(a - b)
-                          <= 1e-13 * np.maximum(1.0, np.abs(b))), (name, y)
+            assert np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b))), \
+                (name, y)
+    # off that band, even at |x| >> l, the integrals apply, not the limits
+    # (at x/l = 1e17, y/l = 1: I10 = (pi/2) e^-1, its limit pi/2)
+    grid = np.array(_MP_GRID)
+    st = full_field(grid[:, 0] * mat.ell, grid[:, 1] * mat.ell, DISCLIN, mat)
+    i10 = 2.0 * np.pi * (st.omega + 0.25)
+    i11 = -0.5 * np.pi * st.myz / (mat.mu * mat.ell)
+    for got, ref in ((i10, grid[:, 2]), (i11, grid[:, 3])):
+        err = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
+        assert err.max() < 1e-12, grid[np.argmax(err)]
 
 
 def test_full_field_arrays_match_scalar_calls():
