@@ -10,8 +10,7 @@ stress intensity factor, near-tip fields, and the energy release rate.
 from .greens import (DefectCharge, FieldState, MaterialParams, full_field,
                      line_m_yz, line_sigma_yy)
 from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
-                   classical_baseline, crack_profiles, endpoint_values,
-                   j_integral, stress_ahead, stress_intensity_factor,
+                   classical_baseline, crack_profiles, stress_ahead,
                    tip_quantities)
 from .sie import (CrackProblem, DensitySolution, Discretization, SolverError,
                   assemble, log_quadrature_weight, solve)
@@ -26,8 +25,7 @@ __all__ = [
     "log_quadrature_weight",
     "assemble", "solve",
     "CrackProfiles", "TipQuantities", "ClassicalBaseline",
-    "crack_profiles", "endpoint_values", "tip_quantities", "stress_ahead",
-    "stress_intensity_factor", "j_integral", "classical_baseline",
+    "crack_profiles", "tip_quantities", "stress_ahead", "classical_baseline",
     "k2_reg", "k0_log_reg", "meijer_kernel", "k3_reg", "int_k0",
     "__version__",
 ]

@@ -206,9 +206,7 @@ def _cmd_sweep(args) -> int:
     keys = [f"nu={nu:g}" for nu in nus]
     if len(set(keys)) < len(keys):
         raise ConfigError(f"--nu-list repeats a value: {args.nu_list}")
-    if args.p_steps == 1:
-        ps = np.array([args.p_min])
-    elif args.log_spaced:
+    if args.log_spaced:
         ps = np.geomspace(args.p_min, args.p_max, args.p_steps)
     else:
         ps = np.linspace(args.p_min, args.p_max, args.p_steps)

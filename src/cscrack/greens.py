@@ -11,8 +11,8 @@ Two point defects sit at the origin of the upper half-plane (y >= 0):
 couple-stress on the defect line y = 0; these are the kernels of the crack
 integral equations.  :func:`full_field` evaluates displacements, rotation,
 force-stresses and couple-stresses at any points of the half-plane, given
-as scalars or arrays.  All three take K0, K1 and 2/w^2 - K2 from one pass
-of the regularised Bessel evaluator of :mod:`cscrack.specfun`.
+as scalars or arrays.  All three take K0, K1 - 1/w and 2/w^2 - K2 from one
+pass of the regularised Bessel evaluator of :mod:`cscrack.specfun`.
 
 The disclination field also needs two semi-infinite sine transforms (X =
 x/l, Y = y/l, R = sqrt(X^2 + Y^2), rho = sqrt(X'^2 + Y^2)),
@@ -146,9 +146,10 @@ class FieldState:
 
 
 def _bessel(w):
-    """(K0, K1, 2/w^2 - K2) at w > 0 from one regularised-evaluator pass."""
+    """(K0, K1 - 1/w, 2/w^2 - K2) at w > 0 from one regularised-evaluator
+    pass."""
     r0, r1, r2 = _regularised(w)
-    return r0 - np.log(w), r1 + 1.0 / w, r2 + 0.5
+    return r0 - np.log(w), r1, r2 + 0.5
 
 
 def line_sigma_yy(x, charge: DefectCharge, mat: MaterialParams):
@@ -233,9 +234,13 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
         syy_disc = -(mu Om/pi) [ (x^2-y^2)/r^2 * D + K0 ] = -sxx_disc,
         syx_disc = (2 mu Om x y)/(pi r^2) * D,       D = 2 l^2/r^2 - K2(r/l)
 
-    and the skew part uses nabla^2 omega = b y K1/(2 pi l^3 r)
-    + Om I10/(2 pi l^2) (the I10 integrand is an eigenfunction of the
-    Laplacian with eigenvalue 1/l^2).  I10 and I11 come from their closed
+    and the skew part is sxy - syx = -4 mu l^2 nabla^2 omega
+    = -(2 mu/pi) (b y K1/(l r) + Om I10) (the I10 integrand is an
+    eigenfunction of the Laplacian with eigenvalue 1/l^2).  The dislocation
+    terms over l^2 use K2 - K0 = 2 K1/w (Abramowitz & Stegun 9.6.26), w =
+    r/l: (K2 - K0)/l^2 = 2 w K1/r^2 and (D + K0)/l^2 = -2 w (K1 - 1/w)/r^2,
+    with K1 - 1/w straight from the evaluator, so no power of l is formed
+    and nothing cancels as l -> 0.  I10 and I11 come from their closed
     form on the fixed Gauss-Legendre rule of the module docstring for
     y > 1e-16 min(|x|, l), and from their line limits below; no
     quadrature runs for a pure dislocation (Omega = 0).
@@ -263,8 +268,10 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
         x, y = float(x), float(y)   # Python floats: cheaper arithmetic
     r2 = x * x + y * y
     r = np.sqrt(r2)
-    k0, k1, d = _bessel(r / ell)            # d = 2 l^2/r^2 - K2
-    k2 = 2.0 * ell * ell / r2 - d           # K2 itself, underflow-safe
+    w = r / ell
+    k0, k1m, d = _bessel(w)                 # K1 - 1/w; d = 2 l^2/r^2 - K2
+    k1 = k1m + 1.0 / w
+    wk1 = w * k1                            # (K2 - K0)/l^2 = 2 wk1/r^2
     theta = np.arctan2(y, x)                # in [0, pi] on the half-plane
 
     c_nu = 1.0 / (4.0 * np.pi * (1.0 - nu))
@@ -283,7 +290,7 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
           - om * y / (2.0 * np.pi) * (d + k0)
           - 0.25 * om * x)
 
-    omega = (-b * y / (4.0 * np.pi * ell * ell) * (d + k0)
+    omega = (b * y / (2.0 * np.pi * r2) * w * k1m
              + om / (2.0 * np.pi) * i10
              - 0.25 * om)
 
@@ -295,20 +302,18 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
     disc_norm = mu * om / np.pi * ((x * x - y * y) / r2 * d + k0)
     syy = (mu * b * x * (3.0 * y * y + x * x) * 2.0 * c_nu / (r2 * r2)
            - 2.0 * mu * b * x / np.pi * (3.0 * y * y - x * x) / (r2 * r2) * d
-           + mu * b / (np.pi * ell * ell) * x * y * y / r2 * (k2 - k0)
+           + 2.0 * mu * b / np.pi * x * y * y / (r2 * r2) * wk1
            - disc_norm)
     sxx = (mu * b * x * (x * x - y * y) * 2.0 * c_nu / (r2 * r2)
            + 2.0 * mu * b * x / np.pi * (3.0 * y * y - x * x) / (r2 * r2) * d
-           - mu * b / (np.pi * ell * ell) * x * y * y / r2 * (k2 - k0)
+           - 2.0 * mu * b / np.pi * x * y * y / (r2 * r2) * wk1
            + disc_norm)
     syx = (mu * b * y * (x * x - y * y) * 2.0 * c_nu / (r2 * r2)
            - 2.0 * mu * b * y / np.pi * (3.0 * x * x - y * y) / (r2 * r2) * d
-           + mu * b / (np.pi * ell * ell) * x * x * y / r2 * (k2 - k0)
+           + 2.0 * mu * b / np.pi * x * x * y / (r2 * r2) * wk1
            + 2.0 * mu * om * x * y / (np.pi * r2) * d)
 
-    lap_omega = (b * y * k1 / (2.0 * np.pi * ell ** 3 * r)
-                 + om * i10 / (2.0 * np.pi * ell * ell))
-    sxy = syx - 4.0 * mu * ell * ell * lap_omega
+    sxy = syx - 2.0 * mu / np.pi * (b * y / r2 * wk1 + om * i10)
 
     values = dict(sxx=sxx, syy=syy, sxy=sxy, syx=syx, mxz=mxz, myz=myz,
                   ux=ux, uy=uy, omega=omega)

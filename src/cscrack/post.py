@@ -7,13 +7,12 @@ interpolating polynomial) and evaluates each basis table once for both:
 
 * crack-face opening and rotation profiles, by term-wise weighted
   integration of the series;
-* the endpoint values f(+-1), g(+-1), by summing the series at the ends
-  (the same number the classic endpoint-interpolation recipe yields);
 * normal stress and couple-stress ahead of the tip, using closed forms for
   the weighted Cauchy and logarithmic integrals outside the crack so the
   inverse-square-root blow-up is produced analytically;
-* the stress intensity factor and the energy release rate, as their
-  classical closed forms times ratios read from f(1), g(1);
+* the tip quantities: f(1), g(1) by summing the series at s = 1, and the
+  stress intensity factor and energy release rate, as their classical
+  closed forms times ratios read from f(1), g(1);
 * the classical-elasticity baseline: the same post-processing applied to
   the solution of the classical (ell = 0) crack, beside its closed forms.
 
@@ -41,20 +40,15 @@ import numpy as np
 
 from .greens import _in_blocks
 from .sie import (CrackProblem, DensitySolution, Discretization,
-                  _cauchy_factor, _normalized_kernels,
-                  chebyshev_coefficients, solve)
+                  _cauchy_factor, _normalized_kernels, solve)
 
 __all__ = [
     "CrackProfiles",
     "TipQuantities",
     "ClassicalBaseline",
-    "chebyshev_coefficients",
     "crack_profiles",
-    "endpoint_values",
     "tip_quantities",
     "stress_ahead",
-    "stress_intensity_factor",
-    "j_integral",
     "classical_baseline",
 ]
 
@@ -122,17 +116,6 @@ def crack_profiles(sol: DensitySolution, m_samples: int = 201) -> CrackProfiles:
                          delta_omega=-scale * jump_g)
 
 
-def endpoint_values(sol: DensitySolution):
-    """(f(1), g(1)) of the density interpolants, by series summation.
-
-    Summing the Chebyshev coefficients is the interpolation polynomial
-    evaluated at s = 1 (T_j(1) = 1 for every j), i.e. the standard
-    endpoint extraction; it reproduces polynomial data exactly.
-    """
-    f1, g1 = np.sum(sol.coefficients, axis=-1)
-    return float(f1), float(g1)
-
-
 def _classical_closed_forms(problem: CrackProblem):
     """(K, J) of the classical crack with the same a, sigma0, mu and nu:
     K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
@@ -147,10 +130,16 @@ def _classical_closed_forms(problem: CrackProblem):
 
 def tip_quantities(sol: DensitySolution) -> TipQuantities:
     """f(1), g(1), K_I, J and the ratios K_I/K_cl, J/J_cl: the only place
-    where the endpoint values become tip quantities."""
+    where the endpoint values become tip quantities.
+
+    f(1) and g(1) are the sums of the Chebyshev coefficients: the
+    interpolation polynomial evaluated at s = 1 (T_j(1) = 1 for every j),
+    i.e. the standard endpoint extraction; it reproduces polynomial data
+    exactly.
+    """
     prob = sol.problem
     nu = prob.material.nu
-    f1, g1 = endpoint_values(sol)
+    f1, g1 = map(float, np.sum(sol.coefficients, axis=-1))
     c = _cauchy_factor(prob, sol.disc.n)
     k_ratio = c * f1 / (2.0 * (1.0 - nu))
     lg = g1 / prob.p                  # (ell/a) g(1); 0 at ell = 0
@@ -158,16 +147,6 @@ def tip_quantities(sol: DensitySolution) -> TipQuantities:
     k_cl, j_cl = _classical_closed_forms(prob)
     return TipQuantities(f1=f1, g1=g1, k_i=k_cl * k_ratio, j=j_cl * j_ratio,
                          k_ratio=k_ratio, j_ratio=j_ratio)
-
-
-def stress_intensity_factor(sol: DensitySolution) -> float:
-    """Mode-I stress intensity factor (see :func:`tip_quantities`)."""
-    return tip_quantities(sol).k_i
-
-
-def j_integral(sol: DensitySolution) -> float:
-    """Energy release rate (see :func:`tip_quantities`)."""
-    return tip_quantities(sol).j
 
 
 def _exterior(coeffs: np.ndarray, t: np.ndarray, p):
@@ -246,7 +225,7 @@ def classical_baseline(problem: CrackProblem, n: int = 128,
     the elliptical opening delta u = 2 (1-nu) sigma0 sqrt(a^2 - x^2)/mu.
     The discrete values post-process :func:`solve`'s solution of the same
     crack at ell = 0 (the pure-Cauchy collocation system) with
-    :func:`stress_intensity_factor` and :func:`crack_profiles`; agreement
+    :func:`tip_quantities` and :func:`crack_profiles`; agreement
     validates the Cauchy quadrature and the post-processing in isolation.
     """
     mat = problem.material
@@ -259,5 +238,5 @@ def classical_baseline(problem: CrackProblem, n: int = 128,
            * np.sqrt(a * a - x * x))
     return ClassicalBaseline(k_i=float(k_closed), j=float(j_closed),
                              x_samples=x, cod=cod,
-                             k_i_discrete=stress_intensity_factor(sol),
+                             k_i_discrete=tip_quantities(sol).k_i,
                              cod_discrete=prof.delta_uy)

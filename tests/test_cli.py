@@ -361,12 +361,20 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
                 ["field", "--b", "nan"] + grid,
                 ["field", "--omega", "inf"] + grid,
                 ["field"] + grid + ["--x-min", "nan"],
-                ["field"] + grid + ["--y-max", "inf"]]
+                ["field"] + grid + ["--y-max", "inf"],
+                ["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "2",
+                 "--nu-list", "0.3,abc", "--n", "16"],
+                ["solve", "--sigma0", "nan", "--n", "16"],
+                ["field"] + grid + ["--y-min", "-1"]]
+    # extreme ell: the dislocation terms form no power of ell, so only the
+    # disclination at ell = 1e300 overflows (exit 2): its couple stress is
+    # about mu ell^2 Omega / r^2
+    field_ell = [(["field", "--b", b, "--omega", om, "--ell", ell] + grid,
+                  2 if (ell, om) == ("1e300", "1") else 0)
+                 for ell in ("1e-300", "1e-150", "1e300")
+                 for b, om in (("1", "0"), ("0", "1"))]
     explicit += huge_p + rejected + [
-        argv for argv, _ in overflowed + scaled] + [
-        ["field", "--b", b, "--omega", om, "--ell", ell] + grid
-        for ell in ("1e-300", "1e-150", "1e300")
-        for b, om in (("1", "0"), ("0", "1"))]
+        argv for argv, _ in overflowed + scaled + field_ell]
     rng = np.random.default_rng(20261018)
     cases = explicit + [_fuzz_argv(rng) for _ in range(120)]
     codes = set()
@@ -393,6 +401,9 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
             assert main(argv + ["--out", str(tmp_path / argv[2])]) == 0
     for argv in rejected:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1, argv
+        capsys.readouterr()
+    for k, (argv, code) in enumerate(field_ell):
+        assert main(argv + ["--out", str(tmp_path / f"ell{k}")]) == code, argv
         capsys.readouterr()
     for argv, name in overflowed:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 2, argv

@@ -107,17 +107,19 @@ def _i10_oracle(x, y, ell, depth=12):
 
 
 def _mp_integrals(x, y):
-    """(I10, I11) at (x/l, y/l) = (x, y), y > 0, in 30-digit arithmetic.
+    """(I10, I11) at (x/l, y/l) = (x, y), y > 0, in 30 + log10(1/y)
+    digits (30 for y >= 1).
 
     The finite-integral forms in s = asinh(x'/y), as in the module
     docstring but with K2 itself (no singularity subtraction):
     I10 = int Y K1(w) ds, I11 = int [Y K2(w)/cosh(s) - K1(w)] ds, w = Y
-    cosh(s).  The range is cut where w > 80 (integrands below e^-80) and
+    cosh(s).  The parts of the I11 integrand reach about 1/y and cancel,
+    hence the extra digits.  The range is cut where w > 80 (integrands below e^-80) and
     split where w passes 1.  This takes seconds per point, so the grid
     test below holds its values in ``_MP_GRID``.
     """
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
+    with mp.workdps(30 + max(0, int(np.ceil(-np.log10(y))))):
         x, y = mp.mpf(x), mp.mpf(y)
         s_end = mp.asinh(abs(x) / y)
         if y * mp.cosh(s_end) > 80:
@@ -192,6 +194,8 @@ _MP_GRID = [
     (1e10, 0.001, 1.5692263156045312, 1.5692263156045312),
     (1e17, 1e-08, 1.5707963110869334, 1.5707963110869334),
     (1e17, 1, 0.5778636748954609, 0.5778636748954609),     # (pi/2) e^-1
+    # the smallest y at which full_field still runs the rule at x = l
+    (1, 1e-15, 1.5707963267948948, 1.8444170788210112),
 ]
 
 
@@ -420,6 +424,55 @@ def test_classical_dislocation_limit():
         assert st.syy == pytest.approx(syy_cl, rel=1e-4)
         assert st.sxx == pytest.approx(sxx_cl, rel=1e-4)
         assert st.syx == pytest.approx(syx_cl, rel=1e-4)
+
+
+def _mp_dislocation_field(x, y, nu, ell):
+    """The nine components of the climb dislocation (b = mu = 1) at (x, y),
+    in 50-digit arithmetic, with the terms over powers of l in their direct
+    form, (D + K0)/l^2, (K2 - K0)/l^2 and y K1/(l r), not in the
+    cancellation-free one of ``full_field``."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        x, y, nu, ell = map(mp.mpf, (x, y, nu, ell))
+        r2 = x * x + y * y
+        r = mp.sqrt(r2)
+        k0, k1, k2 = (mp.besselk(k, r / ell) for k in (0, 1, 2))
+        d = 2 * ell * ell / r2 - k2
+        c = 1 / (4 * mp.pi * (1 - nu))
+        t = (k2 - k0) / (mp.pi * ell * ell * r2)
+        syx = (2 * c * y * (x * x - y * y) / r2 ** 2
+               - 2 * y / mp.pi * (3 * x * x - y * y) / r2 ** 2 * d
+               + t * x * x * y)
+        syy_cl = 2 * c * x * (3 * y * y + x * x) / r2 ** 2
+        syy_d = 2 * x / mp.pi * (3 * y * y - x * x) / r2 ** 2 * d
+        sxx_cl = 2 * c * x * (x * x - y * y) / r2 ** 2
+        vals = dict(
+            sxx=sxx_cl + syy_d - t * x * y * y,
+            syy=syy_cl - syy_d + t * x * y * y,
+            sxy=syx - 2 * y * k1 / (mp.pi * ell * r),
+            syx=syx,
+            mxz=2 / mp.pi * x * y / r2 * d,
+            myz=-((x * x - y * y) / r2 * d + k0) / mp.pi,
+            ux=((1 - 2 * nu) * c * mp.log(r) + c * (y * y - x * x) / (2 * r2)
+                - (y * y - x * x) / (2 * mp.pi * r2) * d + k0 / (2 * mp.pi)),
+            uy=(mp.atan2(y, x) / (2 * mp.pi) - c * x * y / r2
+                + x * y / (mp.pi * r2) * d),
+            omega=-y / (4 * mp.pi * ell * ell) * (d + k0))
+        return {k: float(v) for k, v in vals.items()}
+
+
+def test_dislocation_field_matches_mpmath_at_small_ell():
+    # the Bessel terms over powers of ell keep their digits as ell/r -> 0,
+    # where the field tends to the classical climb dislocation's
+    for ell in (1.0, 0.1, 1e-3, 1e-9, 1e-200):
+        mat = MaterialParams(mu=1.0, nu=0.3, ell=ell)
+        for x, y in ((1.0, 1.0), (-2.5, 0.7), (0.3, 3.0), (4.0, 0.0)):
+            st = full_field(x, y, DISLOC, mat)
+            ref = _mp_dislocation_field(x, y, mat.nu, ell)
+            scale = max(abs(v) for v in ref.values())
+            for name, want in ref.items():
+                assert abs(getattr(st, name) - want) <= 2e-15 * scale, \
+                    (ell, x, y, name)
 
 
 def test_disclination_normal_displacement_continuous():

@@ -9,9 +9,9 @@ import pytest
 from cscrack import greens
 from cscrack import (CrackProblem, DensitySolution, Discretization,
                      MaterialParams, classical_baseline, crack_profiles,
-                     endpoint_values, j_integral, solve, stress_ahead,
-                     stress_intensity_factor, tip_quantities)
-from cscrack.post import _jump_series, chebyshev_coefficients
+                     solve, stress_ahead, tip_quantities)
+from cscrack.post import _jump_series
+from cscrack.sie import chebyshev_coefficients
 
 
 def _fake_solution(fvals, gvals, nu=0.3, p=10.0, n=None):
@@ -70,18 +70,17 @@ def test_chebyshev_coefficients_transform_rows_at_once(solve_case):
     assert np.array_equal(sol.coefficients, stacked)
 
 
-def test_endpoint_values_constant_and_linear_exactness():
+def test_tip_endpoints_constant_and_linear_exactness():
     n = 32
     d = Discretization.build(n)
     sol = _fake_solution(np.full(n, 3.7), d.nodes.copy())
-    f1, g1 = endpoint_values(sol)
-    assert f1 == pytest.approx(3.7, abs=1e-12)
-    assert g1 == pytest.approx(1.0, abs=1e-12)
+    tq = tip_quantities(sol)
+    assert tq.f1 == pytest.approx(3.7, abs=1e-12)
+    assert tq.g1 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_endpoint_convergence_on_solved_case(solve_case):
-    vals = [endpoint_values(solve_case(0.3, 10.0, n))[0]
-            for n in (128, 256)]
+    vals = [tip_quantities(solve_case(0.3, 10.0, n)).f1 for n in (128, 256)]
     assert abs(vals[1] - vals[0]) / abs(vals[1]) < 1e-5
 
 
@@ -262,7 +261,7 @@ def test_classical_solution_post_processes_without_warnings():
 def test_k_dual_extraction_consistency(solve_case):
     # closed-form K vs sqrt(2 pi (x-a)) sigma_yy fitted just off the tip
     sol = solve_case(0.3, 10.0, 128)
-    k_end = stress_intensity_factor(sol)
+    k_end = tip_quantities(sol).k_i
     xbar = np.geomspace(1e-6, 1e-4, 9)
     syy, _ = stress_ahead(sol, 1.0 + xbar)
     k_fit = np.sqrt(2.0 * np.pi * xbar) * syy
@@ -271,7 +270,7 @@ def test_k_dual_extraction_consistency(solve_case):
 
 def test_k_ratio_classical_degeneration(solve_case):
     sol = solve_case(0.3, 1e4, 128)
-    k = stress_intensity_factor(sol)
+    k = tip_quantities(sol).k_i
     assert k == pytest.approx(np.sqrt(np.pi), rel=1e-12)
 
 
@@ -281,7 +280,7 @@ def test_k_ratio_classical_degeneration(solve_case):
 ])
 def test_k_ratio_pinned_regression_values(solve_case, nu, p, expect):
     # frozen converged amplification factors at reference size ratios
-    ratio = stress_intensity_factor(solve_case(nu, p, 128)) / np.sqrt(np.pi)
+    ratio = tip_quantities(solve_case(nu, p, 128)).k_i / np.sqrt(np.pi)
     assert ratio == pytest.approx(expect, abs=5e-5)
 
 
@@ -289,27 +288,24 @@ def test_j_limits(solve_case):
     # J -> J_classical as ell/a -> 0 (evaluated just inside the
     # resolvability window) and J/J_classical -> 1/(3-2nu) as ell/a -> inf
     sol_small_ell = solve_case(0.3, 200.0, 128)
-    j_ratio = j_integral(sol_small_ell) / _j_classical(sol_small_ell.problem)
+    j_ratio = (tip_quantities(sol_small_ell).j
+               / _j_classical(sol_small_ell.problem))
     assert j_ratio == pytest.approx(1.0, abs=0.01)
     for nu in (0.0, 0.3, 0.5):
         sol = solve_case(nu, 1e-2, 128)
-        ratio = j_integral(sol) / _j_classical(sol.problem)
+        ratio = tip_quantities(sol).j / _j_classical(sol.problem)
         assert ratio == pytest.approx(1.0 / (3.0 - 2.0 * nu), rel=2e-2)
 
 
 def test_j_below_classical_in_sweep(solve_case):
     for p in (0.5, 2.0, 10.0, 50.0, 200.0):
         sol = solve_case(0.3, p, 96)
-        assert j_integral(sol) < _j_classical(sol.problem)
+        assert tip_quantities(sol).j < _j_classical(sol.problem)
 
 
 def test_tip_quantities_bundle(solve_case):
     sol = solve_case(0.3, 10.0, 128)
     tq = tip_quantities(sol)
-    f1, g1 = endpoint_values(sol)
-    assert (tq.f1, tq.g1) == (f1, g1)
-    assert tq.k_i == stress_intensity_factor(sol)
-    assert tq.j == j_integral(sol)
     assert tq.k_i > 0.0 and tq.j > 0.0
 
 

@@ -9,8 +9,8 @@ from scipy import integrate
 
 from cscrack import (CrackProblem, DefectCharge, Discretization,
                      MaterialParams, SolverError, assemble, k3_reg,
-                     line_m_yz, line_sigma_yy, log_quadrature_weight, solve)
-from cscrack.post import endpoint_values, stress_intensity_factor
+                     line_m_yz, line_sigma_yy, log_quadrature_weight, solve,
+                     tip_quantities)
 from cscrack.sie import (_factor_solve, _normalized_kernels, _solve_shared,
                          _working_set_bytes)
 
@@ -320,7 +320,7 @@ def test_classical_solution_is_linear_in_s():
     assert a_mat.shape == (32, 32)
     assert np.abs(a_mat @ sol.f_vals[:32] - rhs).max() < 1e-12
     # closed form K = sigma0 sqrt(pi a) = sqrt(pi)
-    assert stress_intensity_factor(sol) / np.sqrt(np.pi) == pytest.approx(
+    assert tip_quantities(sol).k_i / np.sqrt(np.pi) == pytest.approx(
         1.0, rel=0.0, abs=1e-12)
 
 
@@ -345,7 +345,7 @@ def test_solution_symmetries_and_closure(solve_case):
 def test_solution_linearity_in_tension():
     # linear system, linear right-hand side: doubling sigma0 doubles every
     # physical observable exactly (densities are stored nondimensionally)
-    from cscrack import crack_profiles, stress_intensity_factor
+    from cscrack import crack_profiles
 
     mat = MaterialParams(mu=1.0, nu=0.3, ell=0.1)
     d = Discretization.build(32)
@@ -353,7 +353,7 @@ def test_solution_linearity_in_tension():
     sol2 = solve(CrackProblem(1.0, 2.0, mat), d)
     assert np.array_equal(sol2.f_vals, sol1.f_vals)
     assert np.array_equal(sol2.g_vals, sol1.g_vals)
-    assert stress_intensity_factor(sol2) == 2.0 * stress_intensity_factor(sol1)
+    assert tip_quantities(sol2).k_i == 2.0 * tip_quantities(sol1).k_i
     p1 = crack_profiles(sol1, m_samples=11)
     p2 = crack_profiles(sol2, m_samples=11)
     assert np.allclose(p2.delta_uy, 2.0 * p1.delta_uy, rtol=0.0, atol=0.0)
@@ -459,8 +459,9 @@ def test_shared_solves_match_independent_solves():
                               (sol.g_vals, ref.g_vals)):
                 scale = max(np.abs(want).max(), 1e-300)
                 assert np.abs(got - want).max() <= 1e-13 * scale, (nu, p)
-            assert endpoint_values(sol) == pytest.approx(
-                endpoint_values(ref), rel=1e-13, abs=1e-300)
+            tip, tip_ref = tip_quantities(sol), tip_quantities(ref)
+            assert (tip.f1, tip.g1) == pytest.approx(
+                (tip_ref.f1, tip_ref.g1), rel=1e-13, abs=1e-300)
             assert sol.condition == pytest.approx(ref.condition, rel=1e-13)
             assert sol.residual <= 1e-10
     with pytest.raises(ValueError, match="share a/ell"):
@@ -470,7 +471,7 @@ def test_shared_solves_match_independent_solves():
 def test_endpoint_self_convergence(solve_case):
     f1 = {}
     for n in (64, 128, 256):
-        f1[n], _ = endpoint_values(solve_case(0.3, 10.0, n))
+        f1[n] = tip_quantities(solve_case(0.3, 10.0, n)).f1
     coarse = abs(f1[128] - f1[64]) / abs(f1[128])
     fine = abs(f1[256] - f1[128]) / abs(f1[256])
     assert fine < coarse < 1e-4

@@ -90,13 +90,14 @@ def _meijer_fp_oracle(x, ell=1.0):
 
 
 # ------------------------------------------------------- Bessel K0, K1, K2
-# The field takes K0, K1 and K2 from the regularised evaluator (through
-# greens._bessel); scipy.special supplies the reference values elsewhere.
+# The field takes K0, K1 - 1/z and 2/z^2 - K2 from the regularised
+# evaluator (through greens._bessel); scipy.special supplies the reference
+# values elsewhere.
 
 def _k012(z):
     """(K0, K1, K2)(z) as the defect field forms them."""
-    k0, k1, d = _bessel(np.asarray(z, dtype=float))
-    return k0, k1, 2.0 / z ** 2 - d
+    k0, k1m, d = _bessel(np.asarray(z, dtype=float))
+    return k0, k1m + 1.0 / z, 2.0 / z ** 2 - d
 
 
 def test_bessel_k_against_series_oracle():
