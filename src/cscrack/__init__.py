@@ -14,7 +14,7 @@ from .post import (ClassicalBaseline, CrackProfiles, TipQuantities,
                    tip_quantities)
 from .sie import (CrackProblem, DensitySolution, Discretization, SolverError,
                   assemble, log_quadrature_weight, solve)
-from .specfun import int_k0, k0_log_reg, k2_reg, k3_reg, meijer_kernel
+from .specfun import k0_log_reg, k2_reg, k3_reg, meijer_kernel
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "assemble", "solve",
     "CrackProfiles", "TipQuantities", "ClassicalBaseline",
     "crack_profiles", "tip_quantities", "stress_ahead", "classical_baseline",
-    "k2_reg", "k0_log_reg", "meijer_kernel", "k3_reg", "int_k0",
+    "k2_reg", "k0_log_reg", "meijer_kernel", "k3_reg",
     "__version__",
 ]

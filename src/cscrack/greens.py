@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _TAIL_CAP, _regularised, meijer_kernel
+from .specfun import _TAIL_CAP, _over_ell, _regularised, meijer_kernel
 
 __all__ = [
     "MaterialParams",
@@ -166,7 +166,7 @@ def line_sigma_yy(x, charge: DefectCharge, mat: MaterialParams):
     b, om = charge.b, charge.omega
     out = mu * b / (2.0 * np.pi * (1.0 - nu) * x)
     if ell > 0.0:
-        k0, _, d = _bessel(np.abs(x) / ell)
+        k0, _, d = _bessel(_over_ell(np.abs(x), ell))
         out = out + 2.0 * mu * b / (np.pi * x) * d \
             - mu * om / np.pi * d - mu * om / np.pi * k0
     return out if out.ndim else float(out)
@@ -187,7 +187,7 @@ def line_m_yz(x, charge: DefectCharge, mat: MaterialParams):
     if ell == 0.0:
         out = np.zeros_like(x)
         return out if out.ndim else 0.0
-    k0, _, d = _bessel(np.abs(x) / ell)
+    k0, _, d = _bessel(_over_ell(np.abs(x), ell))
     out = -mu * b / np.pi * (d + k0) \
         + mu * ell * om / (2.0 * np.pi) * meijer_kernel(x, ell)
     return out if out.ndim else float(out)
@@ -202,9 +202,10 @@ def _disclination_integrals(x, y):
     of one (2, size) array.
     """
     def rows(x, y):
-        # X' where rho = Y cosh(s) reaches _TAIL_CAP, or |X| if it is nearer
-        xc = np.minimum(np.abs(x),
-                        np.sqrt(np.maximum(_TAIL_CAP ** 2 - y * y, 0.0)))
+        # X' where rho = Y cosh(s) reaches _TAIL_CAP, or |X| if it is
+        # nearer (0 for Y >= _TAIL_CAP, where Y^2 may overflow)
+        yc = np.minimum(y, _TAIL_CAP)
+        xc = np.minimum(np.abs(x), np.sqrt(_TAIL_CAP ** 2 - yc * yc))
         half = 0.5 * np.arcsinh(xc / y)             # half the range of s
         cosh = np.cosh(half[:, None] * (_GL_NODES + 1.0))
         w = y[:, None] * cosh                       # rho at the nodes
@@ -262,13 +263,13 @@ def full_field(x, y, charge: DefectCharge, mat: MaterialParams) -> FieldState:
         line = y <= _LINE * np.minimum(np.abs(x), ell)
         i10[line] = 0.5 * np.pi * np.sign(x[line])
         i11[line] = -0.25 * meijer_kernel(x[line], ell)
-        i10[~line], i11[~line] = _disclination_integrals(x[~line] / ell,
-                                                         y[~line] / ell)
+        i10[~line], i11[~line] = _disclination_integrals(
+            _over_ell(x[~line], ell), _over_ell(y[~line], ell))
     if x.ndim == 0:
         x, y = float(x), float(y)   # Python floats: cheaper arithmetic
     r2 = x * x + y * y
     r = np.sqrt(r2)
-    w = r / ell
+    w = _over_ell(r, ell)
     k0, k1m, d = _bessel(w)                 # K1 - 1/w; d = 2 l^2/r^2 - K2
     k1 = k1m + 1.0 / w
     wk1 = w * k1                            # (K2 - K0)/l^2 = 2 wk1/r^2

@@ -38,8 +38,8 @@ the (by then logarithmic) k2 sums, which visibly pollutes the solution.
 For p > 2n the system is therefore the classical degenerate one: the
 f-Cauchy block of the same fold, with Cauchy factor 1 in place of 3 - 2nu
 (see :func:`_cauchy_factor`), no g unknowns and g identically zero.  It is
-equilibrated, factored and checked like every other system, and the
-solution is marked so that post-processing takes the same factor.  The
+equilibrated, factored and checked like every other system, and
+post-processing takes the same switch from the solution's (p, n).  The
 classical material (ell = 0, p = inf) takes this branch without a
 warning, so the classical crack is solved and post-processed like any
 other.
@@ -145,7 +145,11 @@ class DensitySolution:
     disc: Discretization
     condition: float
     residual: float
-    classical_degenerate: bool = False
+
+    @property
+    def classical_degenerate(self) -> bool:
+        """Whether this (a/ell, n) takes the resolvability switch."""
+        return _degenerate(self.problem.p, self.disc.n)
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -221,25 +225,27 @@ def log_quadrature_weight(t, disc: Discretization, p):
 
 
 def _normalized_kernels(dt, p):
-    """Regular kernels k1, k2, k3 and ln(p|t - s|) in crack coordinates.
+    """Regular kernels k1, k2, k3 and the log kernel in crack coordinates.
 
     With w = p|t - s| (a/ell = p, so w = |x - xi|/ell):
 
-        k1 = [2/w^2 - K2(w) - 1/2] / (t - s)
-        k2 = [2/w^2 - K2(w)] + [K0(w) + ln w]
-        k3 = -4 sgn(t - s) [ (K1(w) - 1/w) + int_0^w K0 ]   (= k3_reg)
+        k1   = [2/w^2 - K2(w) - 1/2] / (t - s)
+        k2   = [2/w^2 - K2(w)] + [K0(w) + ln w]
+        k3   = -4 sgn(t - s) [ (K1(w) - 1/w) + int_0^w K0 ]   (= k3_reg)
+        logk = (2/w) [K1(w) - 1/w]
 
     k1 is odd and vanishes like (t-s) ln|t-s| at coincidence, k2 is even
     with coincidence value 1/2 + ln 2 - EulerGamma, and k3 is odd and zero
-    there.  The collocation grid never evaluates t = s.
+    there.  logk = ln w - k2 by K2 - K0 = 2 K1/w (Abramowitz & Stegun
+    9.6.26), so no ln w is formed to cancel.  The collocation grid never
+    evaluates t = s.
     """
     w = p * np.abs(dt)
     k0_log, k1_recip, k2c, integral = _regularised(w, integral=True)
     k1n = k2c / dt
     k2n = (0.5 + k2c) + k0_log
     k3n = -4.0 * np.sign(dt) * (k1_recip + integral)
-    lnp = np.log(w)
-    return k1n, k2n, k3n, lnp
+    return k1n, k2n, k3n, 2.0 * k1_recip / w     # the last is logk
 
 
 def _unfold(x: np.ndarray, n: int):
@@ -276,9 +282,10 @@ def _nu_free_system(disc: Discretization, p: float):
     normal-stress rows depends on (n, p) alone, so problems that differ
     only in nu share this part.  Returns (matrix, rhs, cauchy) with
     cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
-    :func:`_add_cauchy` scales for one nu.  Past the resolvability switch
-    the system is the n//2 x n//2 f-Cauchy block alone, with no kernel
-    pass and no g unknowns.
+    :func:`_add_cauchy` scales for one nu.  The log block, shared by
+    both row sets, is logk/n plus the G_n correction.  Past the
+    resolvability switch the system is the n//2 x n//2 f-Cauchy block
+    alone, with no kernel pass and no g unknowns.
     """
     n = disc.n
     # nf unknowns f at s_i > 0 (f(0) = 0 for odd n) and ng unknowns g at
@@ -304,7 +311,7 @@ def _nu_free_system(disc: Discretization, p: float):
     if _degenerate(p, n):
         return np.zeros((nf, nf)), rhs[:nf], odd(1.0 / dt)
 
-    k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
+    k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
     # log_quadrature_weight at every U_{n-1} zero: a constant
     gn = -np.pi * np.log(2.0) / n
     tn_t = (-1.0) ** np.arange(1, nf + 1)       # T_n at the kept t_k
@@ -318,7 +325,7 @@ def _nu_free_system(disc: Discretization, p: float):
     a_mat = np.zeros((n, n))
 
     # normal-stress rows at t_k >= 0
-    log_block = (lnp - k2n) / n + gn * lagrange / np.pi
+    log_block = logk / n + gn * lagrange / np.pi
     a_mat[:nf, :nf] = (2.0 / n) * odd(k1n)
     a_mat[:nf, nf:] = even(log_block)
 
@@ -403,8 +410,7 @@ def _solve_shared(problems, disc: Discretization):
     if any(prob.p != p for prob in problems):
         raise ValueError("problems solved together must share a/ell")
     n = disc.n
-    degenerate = _degenerate(p, n)
-    if degenerate and np.isfinite(p):
+    if _degenerate(p, n) and np.isfinite(p):
         warnings.warn(
             f"a/ell = {p:g} exceeds the kernel resolvability limit "
             f"{2 * n} at n = {n}; solving the classical "
@@ -434,8 +440,7 @@ def _solve_shared(problems, disc: Discretization):
         f, g = _unfold(x, n)
         sols.append(DensitySolution(
             f_vals=f, g_vals=g, problem=prob, disc=disc,
-            condition=cond, residual=residual,
-            classical_degenerate=degenerate))
+            condition=cond, residual=residual))
     return sols
 
 
@@ -453,7 +458,7 @@ def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
     kernels on this grid, the system is the classical degenerate one, with
     a warning; for the classical material (ell = 0) it is the same system
     without one.  Its exact solution is f(s) = 2 (1-nu) s and g = 0, and
-    the returned solution is marked ``classical_degenerate``.
+    the returned solution's ``classical_degenerate`` is true.
 
     Raises
     ------

@@ -64,7 +64,6 @@ __all__ = [
     "k0_log_reg",
     "meijer_kernel",
     "k3_reg",
-    "int_k0",
 ]
 
 # Series/direct crossover for the regularized combinations.  At w = 1 the
@@ -248,6 +247,15 @@ def _regularised_block(w, out):
             out[3, far] = 0.5 * np.pi
 
 
+def _over_ell(v, ell):
+    """v/ell, held within the largest float where the quotient overflows:
+    there K0 = (K0 + ln w) - ln w, K1 and w (K1 - 1/w) come out as their
+    limits 0, 0 and -1, where w = inf gives inf - inf and inf * 0."""
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        return np.clip(v / ell, -big, big)
+
+
 def _tail(w, columns):
     """K0, K1 and pi/2 - int_0^w K0, or the first ``columns`` of them, at
     a 1-D array 1 <= w < _TAIL_CAP: e^{-w} w^{-1/2} times the polynomials
@@ -256,21 +264,6 @@ def _tail(w, columns):
     hi = 1.0 / (_SERIES_SWITCH + _TAIL_SHIFT)
     x = (2.0 / (hi - lo)) / (w + _TAIL_SHIFT) - (hi + lo) / (hi - lo)
     return np.exp(-w) / np.sqrt(w) * _horner(_TAIL_TABLE[:, :columns], x)
-
-
-def int_k0(w):
-    """int_0^w K0(v) dv for w >= 0; tends to pi/2 as w -> oo.
-
-    Evaluated from the committed tables of the module docstring, to about
-    2e-16 absolute against the Struve-function reference
-    (pi w/2)[K0 L_{-1} + K1 L_0] (Abramowitz & Stegun 11.1.8); NaN gives
-    NaN.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("int_k0 requires w >= 0")
-    out = _regularised(w, integral=True)[3]
-    return out if out.ndim else float(out)
 
 
 def k2_reg(x_abs, ell):
@@ -338,6 +331,7 @@ def k3_reg(x, ell):
     if ell <= 0.0:
         raise ValueError("k3_reg requires ell > 0")
     x = np.asarray(x, dtype=float)
-    _, k1_recip, _, integral = _regularised(np.abs(x) / ell, integral=True)
+    _, k1_recip, _, integral = _regularised(_over_ell(np.abs(x), ell),
+                                            integral=True)
     out = -4.0 * np.sign(x) * (k1_recip + integral)
     return out if out.ndim else float(out)

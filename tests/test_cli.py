@@ -1,6 +1,8 @@
 """Command-line driver: files, formats, determinism, exit codes."""
 
 import argparse
+import ast
+import importlib
 import json
 import math
 import os
@@ -368,11 +370,16 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
                 ["field"] + grid + ["--y-min", "-1"]]
     # extreme ell: the dislocation terms form no power of ell, so only the
     # disclination at ell = 1e300 overflows (exit 2): its couple stress is
-    # about mu ell^2 Omega / r^2
+    # about mu ell^2 Omega / r^2.  Where r/ell overflows (ell = 5e-324 at
+    # r = 1, ell = 1e-300 at r = 1e9) the Bessel terms take their
+    # classical limits (exit 0)
+    wide = ["--x-min=-1e9", "--x-max", "1e9"]
     field_ell = [(["field", "--b", b, "--omega", om, "--ell", ell] + grid,
                   2 if (ell, om) == ("1e300", "1") else 0)
-                 for ell in ("1e-300", "1e-150", "1e300")
-                 for b, om in (("1", "0"), ("0", "1"))]
+                 for ell in ("1e-300", "1e-150", "5e-324", "1e300")
+                 for b, om in (("1", "0"), ("0", "1"))] + [
+        (["field", "--b", "1", "--omega", om, "--ell", "1e-300"] + grid
+         + wide, 0) for om in ("0", "1")]
     explicit += huge_p + rejected + [
         argv for argv, _ in overflowed + scaled + field_ell]
     rng = np.random.default_rng(20261018)
@@ -572,6 +579,22 @@ def test_import_does_not_load_scipy_integrate():
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_benchmark_replay_imports_public_names():
+    # the benchmark's replay (read here, not imported) uses these names of
+    # the package; each must stay in its module's __all__, so retiring a
+    # public helper cannot break the benchmark unseen
+    replay = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse(replay.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "cscrack"
+                for alias in node.names]
+    assert ("cscrack", "solve") in imported     # the replay was parsed
+    for module, name in imported:
+        assert name in importlib.import_module(module).__all__, (module,
+                                                                 name)
 
 
 def test_readme_command_lines(tmp_path, capsys):

@@ -480,3 +480,29 @@ def test_disclination_normal_displacement_continuous():
     for x in (0.5, 2.0):
         up = full_field(x, 0.0, DISCLIN, MAT)
         assert abs(up.uy + 0.25 * x) < 1e-8 * abs(MAT.ell)
+
+
+def test_classical_limits_where_r_over_ell_overflows():
+    # r/ell past the float range: the Bessel terms take their classical
+    # limits, the same as at ell = 1e-200 (where they are already below
+    # an ulp), with no warning and no NaN
+    for ell, xs in ((1e-300, (-1e9, 1e9)), (5e-324, (-1.0, 1.0))):
+        mat = MaterialParams(mu=1.0, nu=0.3, ell=ell)
+        x = np.array(xs)
+        cauchy = 1.0 / (2.0 * np.pi * (1.0 - mat.nu) * x)
+        assert line_sigma_yy(x, DISLOC, mat) == pytest.approx(cauchy,
+                                                             rel=1e-15)
+        assert np.all(line_sigma_yy(x, DISCLIN, mat) == 0.0)
+        assert np.all(line_m_yz(x, DISLOC, mat) == 0.0)
+        assert line_m_yz(x, DISCLIN, mat) == pytest.approx(
+            -ell * np.sign(x), rel=1e-15)
+        far = MaterialParams(mu=1.0, nu=0.3, ell=1e-200)
+        px, py = np.meshgrid(x, [0.0, 1.0])
+        for charge in (DISLOC, DISCLIN, MIXED):
+            got = vars(full_field(px, py, charge, mat))
+            want = vars(full_field(px, py, charge, far))
+            scale = max(np.abs(v).max() for v in want.values())
+            for name, val in got.items():
+                assert np.all(np.isfinite(val)), (ell, charge, name)
+                assert np.abs(val - want[name]).max() <= 2e-15 * scale, \
+                    (ell, charge, name)

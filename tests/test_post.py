@@ -197,6 +197,23 @@ def test_stress_ahead_degenerate_mode(solve_case):
     assert np.all(myz == 0.0)
 
 
+def test_hand_built_solution_takes_the_degenerate_switch():
+    # the flag follows from (a/ell, n) alone, so a solution built by hand
+    # past a/ell = 2n post-processes with the degenerate system's Cauchy
+    # factor 1 and no couple-stress terms, as the solved one does
+    d = Discretization.build(16)
+    sol = _fake_solution(2.0 * (1.0 - 0.3) * d.nodes, np.zeros(16),
+                         nu=0.3, p=1e4)
+    assert sol.classical_degenerate
+    x = np.array([1.5, 4.0])
+    syy, myz = stress_ahead(sol, x)
+    assert np.allclose(syy, x / np.sqrt(x * x - 1.0), rtol=1e-10)
+    assert np.all(myz == 0.0)
+    for p, n in ((32.0, 16), (32.000001, 16), (1e4, 5000), (1e4, 4999)):
+        hand = _fake_solution(np.zeros(n), np.zeros(n), p=p)
+        assert hand.classical_degenerate == (p > 2 * n), (p, n)
+
+
 # ---------------------------------------------------- sampling in blocks
 
 def _near_tip(m):

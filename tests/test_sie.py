@@ -87,7 +87,7 @@ def test_principal_value_identity():
 def _kernels(dt, p):
     """(k1, k2, k3) at t - s = dt through the solver's own kernel path.
 
-    At dt = 0 the k1 quotient and ln(p|t-s|) are undefined; only these
+    At dt = 0 the k1 quotient and logk are undefined; only these
     tests evaluate there.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -151,27 +151,41 @@ def test_kernel_k3_delegates_to_regular_form():
 def test_kernels_are_the_line_greens_functions():
     # at mu = 1 and x = t - s (p = 1/ell) the solver's kernels are the
     # PDE-checked line Green's functions: sigma_yy of a dislocation is its
-    # Cauchy term plus 2 k1/pi, both cross terms are -(k2 - ln w)/pi, and
+    # Cauchy term plus 2 k1/pi, both cross terms are logk/pi, and
     # m_yz of a disclination is ell k3/(2 pi) plus its Cauchy term
     mag = np.geomspace(1e-3, 50.0, 400)
     dislocation = DefectCharge(b=1.0, omega=0.0)
     disclination = DefectCharge(b=0.0, omega=1.0)
     for ell in (0.3, 1.0, 4.0):
         x = ell * np.concatenate([-mag[::-1], mag])
-        k1, k2, k3, lnw = _normalized_kernels(x, 1.0 / ell)
+        k1, _, k3, logk = _normalized_kernels(x, 1.0 / ell)
         for nu in (0.0, 0.3, 0.5):
             mat = MaterialParams(mu=1.0, nu=nu, ell=ell)
             pairs = (
                 (line_sigma_yy(x, dislocation, mat),
                  (3.0 - 2.0 * nu) / (2.0 * np.pi * (1.0 - nu) * x)
                  + 2.0 * k1 / np.pi),
-                (line_sigma_yy(x, disclination, mat), -(k2 - lnw) / np.pi),
-                (line_m_yz(x, dislocation, mat), -(k2 - lnw) / np.pi),
+                (line_sigma_yy(x, disclination, mat), logk / np.pi),
+                (line_m_yz(x, dislocation, mat), logk / np.pi),
                 (line_m_yz(x, disclination, mat),
                  ell * k3 / (2.0 * np.pi) - 2.0 * ell ** 2 / (np.pi * x)))
             for k, (got, want) in enumerate(pairs):
                 err = np.abs(got - want).max() / np.abs(want).max()
                 assert err <= 1e-14, (ell, nu, k, err)
+
+
+def test_log_kernel_matches_mpmath():
+    # the log block's kernel ln w - k2 = (2/w)(K1 - 1/w) to 1e-15 relative
+    # against 40 digits, across the series, tail and far branches; ln w
+    # less k2 formed in double precision loses up to 2.5e-8 past w = 40
+    mp = pytest.importorskip("mpmath")
+    w = np.geomspace(1e-6, 1e4, 241)
+    logk = _normalized_kernels(w, 1.0)[3]
+    with mp.workdps(40):
+        x = [mp.mpf(float(wi)) for wi in w]
+        want = [2 / xi * (mp.besselk(1, xi) - 1 / xi) for xi in x]
+        err = max(abs(got / ref - 1) for got, ref in zip(logk, want))
+    assert float(err) <= 1e-15
 
 
 # ------------------------------------------------------------ log quadrature
@@ -246,7 +260,7 @@ def _full_system(prob, disc):
     n, p, nu = disc.n, prob.p, prob.material.nu
     s, t = disc.nodes, disc.collocation
     dt = t[:, None] - s[None, :]
-    k1n, k2n, k3n, lnp = _normalized_kernels(dt, p)
+    k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
     gn = np.array([log_quadrature_weight(tk, disc, p) for tk in t])
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     tprime = n * (-1.0) ** np.arange(n) / np.sin(theta)
@@ -256,7 +270,7 @@ def _full_system(prob, disc):
     rhs = np.zeros(2 * n)
     a_mat[:m, :n] = (2.0 / n) * k1n \
         + (3.0 - 2.0 * nu) / (2.0 * (1.0 - nu) * n) / dt
-    a_mat[:m, n:] = (lnp - k2n) / n + gn[:, None] * lagrange / np.pi
+    a_mat[:m, n:] = logk / n + gn[:, None] * lagrange / np.pi
     rhs[:m] = -1.0
     a_mat[m:2 * m, :n] = a_mat[:m, n:]
     a_mat[m:2 * m, n:] = -2.0 / (p * p * n) / dt + k3n / (2.0 * p * n)

@@ -8,8 +8,7 @@ import pytest
 from scipy import integrate, special
 
 from cscrack.greens import _bessel
-from cscrack.specfun import (int_k0, k0_log_reg, k2_reg, k3_reg,
-                             meijer_kernel)
+from cscrack.specfun import k0_log_reg, k2_reg, k3_reg, meijer_kernel
 from cscrack.specfun import (_BLOCK, _SERIES_SWITCH, _TAIL_CAP, _TAIL_SHIFT,
                              _TAIL_TABLE, _regularised, _regularised_series,
                              _tail)
@@ -330,16 +329,21 @@ def test_k1_minus_recip_branch_continuity():
     assert series == pytest.approx(direct, abs=1e-10)
 
 
+def _int_k0(w):
+    """int_0^w K0, the fourth row of the evaluator."""
+    return _regularised(w, integral=True)[3]
+
+
 def test_int_k0_limits():
-    assert int_k0(0.0) == 0.0
-    assert int_k0(100.0) == pytest.approx(0.5 * np.pi, abs=1e-14)
-    assert int_k0(np.inf) == 0.5 * np.pi
-    assert np.isnan(int_k0(np.nan))
+    assert _int_k0(0.0) == 0.0
+    assert _int_k0(100.0) == pytest.approx(0.5 * np.pi, abs=1e-14)
+    assert _int_k0(np.inf) == 0.5 * np.pi
+    assert np.isnan(_int_k0(np.nan))
     # w (1 - EulerGamma - ln(w/2)) at the least subnormal: about 3.7e-321
-    assert int_k0(5e-324) == pytest.approx(3.7e-321, rel=0.01)
+    assert _int_k0(5e-324) == pytest.approx(3.7e-321, rel=0.01)
     # independent quadrature
     val, _ = integrate.quad(special.k0, 1e-300, 2.0)
-    assert int_k0(2.0) == pytest.approx(val, rel=1e-10)
+    assert _int_k0(2.0) == pytest.approx(val, rel=1e-10)
 
 
 def _int_k0_mpmath(mp, w):
@@ -360,7 +364,7 @@ def test_int_k0_against_mpmath():
         [1e-300, 1e-6, 1.0 - 1e-6, 1.0 + 1e-6, 40.0 - 1e-6, 40.0 + 1e-6]]))
     with mp.workdps(30):
         err = [abs(mp.mpf(got) - _int_k0_mpmath(mp, w))
-               for w, got in zip(ws, int_k0(ws))]
+               for w, got in zip(ws, _int_k0(ws))]
     assert float(max(err)) <= 4e-16
 
 
@@ -368,7 +372,7 @@ def test_int_k0_against_mpmath():
 def test_int_k0_branch_continuity(w0):
     # each branch switch is invisible: at most a few ulps across it
     below = np.nextafter(w0, 0.0)
-    for f in (int_k0, lambda w: k3_reg(w, 1.0)):
+    for f in (_int_k0, lambda w: k3_reg(w, 1.0)):
         jump = abs(f(below) - f(w0))
         assert jump <= 4 * np.spacing(abs(f(w0))), (f, jump)
 
@@ -378,12 +382,12 @@ def test_int_k0_blocks_and_shapes():
     # value of a scalar call
     rng = np.random.default_rng(3)
     w = rng.uniform(0.0, 50.0, (_BLOCK // 2 + 3, 9))[:, ::2]
-    got = int_k0(w)
+    got = _int_k0(w)
     assert got.shape == w.shape
     picks = rng.integers(0, w.size, 40)
     flat_w, flat_got = w.reshape(-1), got.reshape(-1)
     for i in picks:
-        assert flat_got[i] == int_k0(float(flat_w[i]))
+        assert flat_got[i] == _int_k0(float(flat_w[i]))
 
 
 def test_tail_coefficients_match_generator():
@@ -409,12 +413,12 @@ def test_least_subnormal_argument():
     w = 5e-324
     assert k0_log_reg(w, 1.0) == k0_log_reg(0.0, 1.0)
     assert k2_reg(w, 1.0) == 0.5
-    assert k3_reg(w, 1.0) == -4.0 * int_k0(w)      # K1 - 1/w rounds to 0
+    assert k3_reg(w, 1.0) == -4.0 * _int_k0(w)      # K1 - 1/w rounds to 0
     assert np.all(np.isfinite(_regularised(np.array([w, 1e-323]), True)))
 
 
 def test_scalar_calls_return_python_floats():
     # a scalar argument gives a plain float, not a 0-d array or numpy scalar
     for val in (k2_reg(0.3, 1.0), k0_log_reg(0.3, 1.0), k3_reg(-0.3, 1.0),
-                meijer_kernel(-0.3, 1.0), int_k0(0.3)):
+                meijer_kernel(-0.3, 1.0)):
         assert type(val) is float
