@@ -27,10 +27,14 @@ follow by odd and even extension.
 Everything is assembled in nondimensional form (mu = a = sigma0 = 1); the
 only material inputs are nu and p = a/ell.  Post-processing rescales.
 
-Each system is equilibrated by rows and inverted once by numpy.linalg.
-The inverse gives the solution and the exact 1-norm condition number
-that is reported and checked; the Chebyshev coefficients of the solution
-come from one real FFT.  So the solver needs numpy alone.
+Each system is equilibrated by rows and solved through its blocks.  Only
+the normal-stress rows carry nu, so the couple-stress and closure rows
+[G2 H] (H on the g unknowns) are factored once per (n, p): one n/2
+inverse of H.  Each nu then inverts one n/2 Schur complement.  The two
+inverses give the solution and the whole system's inverse, hence the
+exact 1-norm condition number that is reported and checked.  The
+Chebyshev coefficients of the solution come from one real FFT.  So the
+solver needs numpy alone.
 
 Extreme size ratios: for p above roughly 2n the couple-stress kernels act
 below quadrature resolution and the log-rule correction no longer matches
@@ -38,7 +42,8 @@ the (by then logarithmic) k2 sums, which visibly pollutes the solution.
 For p > 2n the system is therefore the classical degenerate one: the
 f-Cauchy block of the same fold, with Cauchy factor 1 in place of 3 - 2nu
 (see :func:`_cauchy_factor`), no g unknowns and g identically zero.  It is
-equilibrated, factored and checked like every other system, and
+equilibrated, factored and checked like every other system (its H is
+0 x 0, so the Schur complement is the whole system), and
 post-processing takes the same switch from the solution's (p, n).  The
 classical material (ell = 0, p = inf) takes this branch without a
 warning, so the classical crack is solved and post-processed like any
@@ -168,10 +173,12 @@ def _working_set_bytes(n: int) -> float:
     The kernel pass holds about a dozen n/2 x n arrays at once: dt, w,
     the evaluator's four outputs, the four kernels, lagrange and recip;
     the evaluator's temporaries cover one block of its argument.  The
-    solve adds the matrix and its inverse.  tracemalloc peaks of
-    :func:`solve` measured 6.0 matrices at p = 0.3 (the series branch)
-    and at p = 10, for n = 512 and 1024, and 11.4 and 8.7 at n = 64,
-    where one block covers the whole kernel pass.
+    block solve peaks below that, at about 3.5 matrices past the
+    assembled one: the shared g-block inverses and one problem's
+    inverse.  tracemalloc peaks of :func:`solve` measured 6.0 matrices
+    at p = 0.3 (the series branch) and at p = 10, for n = 512 and 1024,
+    and 11.3 and 8.7 at n = 64, where one block covers the whole kernel
+    pass.
     """
     return 12 * 8.0 * float(n) ** 2
 
@@ -282,7 +289,7 @@ def _nu_free_system(disc: Discretization, p: float):
     normal-stress rows depends on (n, p) alone, so problems that differ
     only in nu share this part.  Returns (matrix, rhs, cauchy) with
     cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
-    :func:`_add_cauchy` scales for one nu.  The log block, shared by
+    :func:`_cauchy_term` scales for one nu.  The log block, shared by
     both row sets, is logk/n plus the G_n correction.  Past the
     resolvability switch the system is the n//2 x n//2 f-Cauchy block
     alone, with no kernel pass and no g unknowns.
@@ -344,14 +351,13 @@ def _nu_free_system(disc: Discretization, p: float):
     return a_mat, rhs, odd(recip)
 
 
-def _add_cauchy(a_mat: np.ndarray, cauchy: np.ndarray,
-                problem: CrackProblem, n: int) -> np.ndarray:
-    """Add the nu-dependent Cauchy term of ``problem`` on the n-point grid
-    to a :func:`_nu_free_system` matrix, in place; returns the matrix."""
-    nf, nu = cauchy.shape[0], problem.material.nu
-    a_mat[:nf, :nf] += (_cauchy_factor(problem, n)
-                        / (2.0 * (1.0 - nu) * n) * cauchy)
-    return a_mat
+def _cauchy_term(cauchy: np.ndarray, problem: CrackProblem,
+                 n: int) -> np.ndarray:
+    """The nu-dependent Cauchy term of ``problem`` on the n-point grid, to
+    be added to the f-columns of the normal-stress rows of a
+    :func:`_nu_free_system` matrix."""
+    nu = problem.material.nu
+    return _cauchy_factor(problem, n) / (2.0 * (1.0 - nu) * n) * cauchy
 
 
 def assemble(problem: CrackProblem, disc: Discretization):
@@ -371,26 +377,71 @@ def assemble(problem: CrackProblem, disc: Discretization):
     Returns (matrix, rhs) without row scaling.
     """
     a_mat, rhs, cauchy = _nu_free_system(disc, problem.p)
-    return _add_cauchy(a_mat, cauchy, problem, disc.n), rhs
+    nf = cauchy.shape[0]
+    a_mat[:nf, :nf] += _cauchy_term(cauchy, problem, disc.n)
+    return a_mat, rhs
 
 
-def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
-    """Solve a_mat x = rhs through the inverse and check it.
+def _g_block(base: np.ndarray, rhs: np.ndarray, nf: int, where: str):
+    """Equilibrate and factor the nu-free rows of a folded system, once
+    for all problems that share (n, p).
 
-    The inverse gives both x = a_mat^-1 rhs and the exact 1-norm
-    condition number kappa_1 = ||a_mat||_1 ||a_mat^-1||_1.  Returns
-    (x, condition, relative residual).
+    The first nf rows of ``base`` (a :func:`_nu_free_system` matrix) are
+    the normal-stress rows [F G1], F on the nf f-columns; they lack the
+    Cauchy term, the system's one nu-dependent block.  The other rows,
+    couple-stress and closure, hold no nu: they are scaled by their
+    max-abs, in place in ``base`` and ``rhs``, to [G2 H].  Returns
+    (base, rhs, H^-1, X = H^-1 G2, Y = G1 H^-1, S0 = F - G1 X).  The
+    degenerate system has no such rows: H is 0 x 0 and S0 = F.
     """
+    scale = np.max(np.abs(base[nf:]), axis=1)
+    base[nf:] /= scale[:, None]
+    rhs[nf:] /= scale
     try:
-        inverse = np.linalg.inv(a_mat)
+        h_inv = np.linalg.inv(base[nf:, nf:])
     except np.linalg.LinAlgError:
         raise SolverError(f"singular crack system at {where}") from None
-    cond = np.linalg.norm(a_mat, 1) * np.linalg.norm(inverse, 1)
+    x_mat = h_inv @ base[nf:, :nf]
+    g1 = base[:nf, nf:]
+    return base, rhs, h_inv, x_mat, g1 @ h_inv, base[:nf, :nf] - g1 @ x_mat
+
+
+def _factor_solve(block, term: np.ndarray, where: str):
+    """Solve one problem's equilibrated system through its shared
+    :func:`_g_block` and check it.
+
+    With the nu term cC (``term``) added, the normal-stress rows are
+    scaled by their max-abs D, so the equilibrated matrix is
+    A = [[D^-1 (F + cC), D^-1 G1], [G2, H]] and the Schur complement of
+    H in it is D^-1 (S0 + cC), inverted as T.  Then
+    A^-1 = [I; -X] T [I, -D^-1 Y] + [[0, 0], [0, H^-1]] gives both
+    x = A^-1 b and the exact 1-norm condition number
+    kappa_1 = ||A||_1 ||A^-1||_1.  Returns (x, condition, relative
+    residual of the whole equilibrated system).
+    """
+    base, rhs, h_inv, x_mat, y_mat, s0 = block
+    nf = s0.shape[0]
+    top, bottom = base[:nf].copy(), base[nf:]
+    top[:, :nf] += term
+    scale = np.max(np.abs(top), axis=1)
+    top /= scale[:, None]
+    a_norm = np.max(np.abs(top).sum(axis=0) + np.abs(bottom).sum(axis=0))
+    try:
+        t_mat = np.linalg.inv((s0 + term) / scale[:, None])
+    except np.linalg.LinAlgError:
+        raise SolverError(f"singular crack system at {where}") from None
+    upper = np.concatenate([t_mat, -(t_mat / scale) @ y_mat], axis=1)
+    lower = x_mat @ upper                  # the rows of A^-1 below, negated
+    lower[:, nf:] -= h_inv
+    cond = a_norm * np.max(np.abs(upper).sum(axis=0)
+                           + np.abs(lower).sum(axis=0))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SolverError(
             f"ill-conditioned crack system (cond ~ {cond:.2e}) at {where}")
-    x = inverse @ rhs
-    residual = np.linalg.norm(a_mat @ x - rhs) / np.linalg.norm(rhs)
+    b = np.concatenate([rhs[:nf] / scale, rhs[nf:]])
+    x = np.concatenate([upper @ b, -(lower @ b)])
+    residual = np.linalg.norm(np.concatenate(
+        [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
     if not residual < 1e-10:
         raise SolverError(
             f"density solve residual {residual:.2e} exceeds 1e-10 "
@@ -401,10 +452,11 @@ def _factor_solve(a_mat: np.ndarray, rhs: np.ndarray, where: str):
 def _solve_shared(problems, disc: Discretization):
     """Solve problems that share the size ratio p = a/ell on one grid.
 
-    The nu-free part of their systems is built once, each problem is
-    factored once, and the shared kernels are freed on return.  Returns
-    one :class:`DensitySolution` per problem, in order; :func:`solve`
-    documents the rest.
+    The nu-free part of their systems is built, equilibrated and factored
+    once (:func:`_g_block`: one n/2 inverse), each problem then inverts
+    its own n/2 Schur complement (:func:`_factor_solve`), and the shared
+    blocks are freed on return.  Returns one :class:`DensitySolution` per
+    problem, in order; :func:`solve` documents the rest.
     """
     p = problems[0].p
     if any(prob.p != p for prob in problems):
@@ -426,16 +478,13 @@ def _solve_shared(problems, disc: Discretization):
             "a >> ell is strained but the system is still solved",
             RuntimeWarning, stacklevel=3)
 
+    # row equilibration keeps the condition number flat across the many
+    # orders of magnitude spanned by the 2/p^2 couple-stress prefactor
+    block = _g_block(base, rhs, cauchy.shape[0], f"n = {n}, p = {p:g}")
     sols = []
     for prob in problems:
-        a_eq = _add_cauchy(base.copy(), cauchy, prob, n)
-        # row equilibration keeps the condition number flat across the
-        # many orders of magnitude spanned by the 2/p^2 couple-stress
-        # prefactor
-        scale = np.max(np.abs(a_eq), axis=1)
-        a_eq /= scale[:, None]
         x, cond, residual = _factor_solve(
-            a_eq, rhs / scale,
+            block, _cauchy_term(cauchy, prob, n),
             f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}")
         f, g = _unfold(x, n)
         sols.append(DensitySolution(
@@ -445,14 +494,15 @@ def _solve_shared(problems, disc: Discretization):
 
 
 def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
-    """Solve the discrete system through its dense inverse.
+    """Solve the discrete system through the inverses of its two blocks.
 
     The parity-reduced system of :func:`assemble` is equilibrated by rows
-    and inverted once (numpy.linalg, LU with partial pivoting).  The
-    inverse gives both the solution and ``condition``, the exact 1-norm
-    condition number kappa_1 = ||A||_1 ||A^-1||_1 of the folded,
-    equilibrated matrix A; ``residual`` is the relative residual of that
-    system.  The returned f and g hold all n nodes, f odd and g even.
+    to A.  Its nu-free g-block H and the Schur complement of H are each
+    inverted (numpy.linalg, LU with partial pivoting), and together they
+    give the solution and ``condition``, the exact 1-norm condition
+    number kappa_1 = ||A||_1 ||A^-1||_1 of the folded, equilibrated
+    matrix A; ``residual`` is the relative residual of that whole system.
+    The returned f and g hold all n nodes, f odd and g even.
 
     For a/ell above 2n, the resolvability limit of the couple-stress
     kernels on this grid, the system is the classical degenerate one, with
@@ -464,7 +514,8 @@ def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:
     ------
     SolverError
         If the system has non-finite coefficients (a/ell so small that
-        2/(a/ell)^2 overflows), is singular, has a condition number above
-        1e12 or its solution fails the 1e-10 relative-residual check.
+        2/(a/ell)^2 overflows), H or its Schur complement is singular,
+        the system has a condition number above 1e12 or its solution
+        fails the 1e-10 relative-residual check.
     """
     return _solve_shared([problem], disc)[0]

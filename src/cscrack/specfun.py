@@ -275,7 +275,7 @@ def k2_reg(x_abs, ell):
     """
     if ell <= 0.0:
         raise ValueError("k2_reg requires ell > 0")
-    w = np.abs(np.asarray(x_abs, dtype=float)) / ell
+    w = _over_ell(np.abs(np.asarray(x_abs, dtype=float)), ell)
     out = 0.5 + _regularised(w)[2]
     return out if out.ndim else float(out)
 
@@ -284,12 +284,16 @@ def k0_log_reg(x_abs, ell):
     """Regularized combination K0(|x|/l) + ln(|x|/l).
 
     Finite everywhere: equals ln 2 - EulerGamma at x = 0 and grows like
-    ln(|x|/l) once K0 underflows.
+    ln(|x|/l) once K0 underflows, taken as ln|x| - ln l where |x|/l
+    overflows.
     """
     if ell <= 0.0:
         raise ValueError("k0_log_reg requires ell > 0")
-    w = np.abs(np.asarray(x_abs, dtype=float)) / ell
-    out = _regularised(w)[0]
+    x = np.abs(np.asarray(x_abs, dtype=float))
+    w = _over_ell(x, ell)
+    out = np.array(_regularised(w)[0])     # 0-d for a scalar x
+    over = w == np.finfo(float).max
+    out[over] = np.log(x[over]) - np.log(ell)
     return out if out.ndim else float(out)
 
 

@@ -11,8 +11,8 @@ from cscrack import (CrackProblem, DefectCharge, Discretization,
                      MaterialParams, SolverError, assemble, k3_reg,
                      line_m_yz, line_sigma_yy, log_quadrature_weight, solve,
                      tip_quantities)
-from cscrack.sie import (_factor_solve, _normalized_kernels, _solve_shared,
-                         _working_set_bytes)
+from cscrack.sie import (_factor_solve, _g_block, _normalized_kernels,
+                         _nu_free_system, _solve_shared, _working_set_bytes)
 
 EG = np.euler_gamma
 
@@ -444,17 +444,111 @@ def test_condition_indicator_reported(solve_case):
         assert sol.condition == pytest.approx(kappa, rel=1e-12), p
 
 
+def _block_solve(a_mat, rhs, where):
+    """The block solve of a 2 x 2 system with one f row and no nu term."""
+    return _factor_solve(_g_block(a_mat.copy(), rhs.copy(), 1, where),
+                         np.zeros((1, 1)), where)
+
+
 def test_singular_or_ill_conditioned_system_is_a_solver_error():
-    # a singular matrix (numpy's LinAlgError) and one past the 1e12
-    # condition limit are both numerical failures naming where they arose
+    # a singular matrix (numpy's LinAlgError, from H or from the Schur
+    # complement) and one past the 1e12 condition limit of the
+    # equilibrated system are both numerical failures naming where they
+    # arose
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SolverError, match="singular crack system at here"):
-        _factor_solve(singular, np.ones(2), "here")
+        _block_solve(singular, np.ones(2), "here")
+    with pytest.raises(SolverError, match="singular crack system at here"):
+        _block_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), "here")
     with pytest.raises(SolverError, match="ill-conditioned"):
-        _factor_solve(np.diag([1.0, 1e-13]), np.ones(2), "here")
-    x, cond, residual = _factor_solve(np.diag([2.0, 4.0]), np.ones(2), "")
+        _block_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+                     np.ones(2), "here")
+    # the rows equilibrate to the identity
+    x, cond, residual = _block_solve(np.diag([2.0, 4.0]), np.ones(2), "")
     assert x.tolist() == [0.5, 0.25]
-    assert (cond, residual) == (2.0, 0.0)
+    assert (cond, residual) == (1.0, 0.0)
+
+
+def _dense_reference(prob, disc):
+    """x, kappa_1 and the equilibrated (A, b) from one dense inverse of
+    the row-equilibrated :func:`assemble` system."""
+    a_mat, rhs = assemble(prob, disc)
+    scale = np.max(np.abs(a_mat), axis=1)
+    a_eq, b = a_mat / scale[:, None], rhs / scale
+    inverse = np.linalg.inv(a_eq)
+    kappa = np.linalg.norm(a_eq, 1) * np.linalg.norm(inverse, 1)
+    return inverse @ b, kappa, a_eq, b
+
+
+_BLOCK_GRID = [(n, p) for n in (8, 9, 33, 128, 256)
+               for p in (1e-6, 1e-3, 1.0, 20.0, 2 * n - 1, 2 * n + 1,
+                         np.inf)]
+
+
+@pytest.mark.parametrize("n, p", _BLOCK_GRID)
+def test_block_solve_matches_dense_inverse(n, p):
+    # the g-block solve against one dense inverse of the same system:
+    # f, g and condition to 1e-12 relative, and residual is the relative
+    # residual of the returned x in the whole equilibrated system
+    disc = Discretization.build(n)
+    nf, ng = n // 2, (n + 1) // 2
+    for nu in (0.0, 0.3, 0.5):
+        prob = CrackProblem(1.0, 1.0, MaterialParams(
+            mu=1.0, nu=nu, ell=1.0 / p if np.isfinite(p) else 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve(prob, disc)
+        x_ref, kappa, a_eq, b = _dense_reference(prob, disc)
+        degenerate = a_eq.shape[0] == nf
+        assert sol.classical_degenerate == degenerate
+        f, g = sol.f_vals[:nf], sol.g_vals[:ng]
+        x = f if degenerate else np.concatenate([f, g])
+        for got, want in ((f, x_ref[:nf]), (g, x_ref[nf:])):
+            if want.size:
+                assert (np.abs(got - want).max()
+                        <= 1e-12 * np.abs(want).max()), (nu, p)
+        if degenerate:
+            assert not np.any(sol.g_vals)
+        assert sol.condition == pytest.approx(kappa, rel=1e-12), (nu, p)
+        res = np.linalg.norm(a_eq @ x - b) / np.linalg.norm(b)
+        assert sol.residual == pytest.approx(res, rel=1e-12, abs=1e-300)
+        assert sol.residual < 1e-10
+
+
+@pytest.mark.parametrize("n", (8, 9, 33, 128, 256))
+def test_block_solve_pivots_are_well_conditioned(n):
+    # the stability argument of the block solve: it inverts the
+    # equilibrated g-block H and the Schur complement S of H in the
+    # equilibrated system, and both stay well conditioned on the grid
+    # (largest kappa_1 of H: 2.8e2 at n = 128, 5.5e2 at n = 256; of S:
+    # 24 and 32)
+    disc = Discretization.build(n)
+    nf = n // 2
+    for p in (1e-6, 1e-3, 1.0, 20.0, 2 * n - 1):
+        for nu in (0.0, 0.3, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                _, _, a_eq, _ = _dense_reference(_problem(nu, p), disc)
+            h = a_eq[nf:, nf:]
+            s = a_eq[:nf, :nf] - a_eq[:nf, nf:] @ np.linalg.solve(
+                h, a_eq[nf:, :nf])
+            assert _kappa_1(h) < 1e4, (p, nu)
+            assert _kappa_1(s) < 1e3, (p, nu)
+    # past the switch there is no g-block: S is the whole system
+    base, rhs, cauchy = _nu_free_system(disc, 2.0 * n + 1.0)
+    assert base.shape == cauchy.shape == (nf, nf)
+    assert _g_block(base, rhs, nf, "")[2].shape == (0, 0)
+
+
+def test_repeated_solves_are_bitwise_identical():
+    # the README's promise: repeated runs give byte-identical summaries
+    disc = Discretization.build(256)
+    first = solve(_problem(0.3, 37.0), disc)
+    for _ in range(9):
+        sol = solve(_problem(0.3, 37.0), disc)
+        assert sol.f_vals.tobytes() == first.f_vals.tobytes()
+        assert sol.g_vals.tobytes() == first.g_vals.tobytes()
+        assert sol.condition == first.condition
 
 
 def test_shared_solves_match_independent_solves():

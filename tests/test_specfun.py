@@ -417,6 +417,21 @@ def test_least_subnormal_argument():
     assert np.all(np.isfinite(_regularised(np.array([w, 1e-323]), True)))
 
 
+def test_quotient_overflow_takes_the_classical_limits():
+    # |x|/ell overflows: K0 = 0, so k0_log_reg is ln|x| - ln ell, and the
+    # Bessel part of k2_reg is 0 while 2 ell^2/x^2 underflows to 0; no
+    # overflow warning (an error under the test suite's filter)
+    assert k0_log_reg(1.0, 5e-324) == pytest.approx(
+        1074.0 * np.log(2.0), rel=1e-15)               # 744.4400719213812
+    assert k0_log_reg(1e300, 1e-10) == pytest.approx(
+        713.8013788281542, rel=1e-15)                  # ln(1e310)
+    assert k2_reg(1.0, 5e-324) == 0.0
+    vals = k0_log_reg(np.array([0.0, 1.0, 1e300]), 1e-10)
+    assert vals[0] == k0_log_reg(0.0, 1.0)
+    assert vals[1:].tolist() == [k0_log_reg(1.0, 1e-10),
+                                 k0_log_reg(1e300, 1e-10)]
+
+
 def test_scalar_calls_return_python_floats():
     # a scalar argument gives a plain float, not a 0-d array or numpy scalar
     for val in (k2_reg(0.3, 1.0), k0_log_reg(0.3, 1.0), k3_reg(-0.3, 1.0),
