@@ -28,10 +28,6 @@ from .sie import (CrackProblem, Discretization, SolverError, _solve_shared,
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage errors exit with status 1 and which
     takes no abbreviated options (``--nu`` never means ``--nu-list``)."""
@@ -78,51 +74,46 @@ def _write_json(path: Path, config: dict, record: dict):
                     encoding="utf-8")
 
 
-def _write_outputs(args, tables: dict, summary=None) -> list[Path]:
-    """Write a command's CSV tables and its summary record, or nothing.
+def _write_outputs(args, files: dict) -> list[Path]:
+    """Write a command's files, or none.
 
     The files go to ``args.out`` and echo every other parsed option.
-    ``tables`` maps file names to columns; ``summary`` is (path stem,
-    record, format).  Returns the paths written, the tables' in order and
-    the summary's last.  Every value is checked before the output directory
-    is created, so a non-finite result (say, an overflow at extreme
-    --mu or --sigma0) is a numerical failure that leaves no files.  Each
-    file is written under a temporary name in ``out`` and renamed only
-    once all of them are written; a failed write removes the temporaries
-    (and ``out``, if this call created it), so it leaves no partial file.
+    ``files`` maps each file name to its columns, or, for a ``.json``
+    name, to its record; a CSV value may be a scalar, which is one row.
+    Returns the paths written, in the order of ``files``.  Every value is
+    checked before the output directory is created, so a non-finite
+    result (say, an overflow at extreme --mu or --sigma0) is a numerical
+    failure that leaves no files.  Each file is written under a temporary
+    name in ``out`` and renamed only once all of them are written; a
+    failed write removes the temporaries and every directory this call
+    created, so it leaves no partial file.
     """
     out = Path(args.out)
     config = {key: v for key, v in vars(args).items()
               if key not in ("func", "out")}
-    stem, record, fmt = summary if summary else (None, {}, None)
-    numbers = {key: v for key, v in record.items()
-               if isinstance(v, (int, float, np.floating))}
-    for name, columns in [(stem, numbers), *tables.items()]:
-        for col, vals in columns.items():
-            if not np.all(np.isfinite(np.asarray(vals, dtype=float))):
-                raise SolverError(f"non-finite {col} in {name}")
-    files = [(name, _write_csv, columns) for name, columns in tables.items()]
-    if summary is not None:
-        name = f"{stem}.{fmt}"
-        if fmt == "json":
-            files.append((name, _write_json, record))
-        else:
-            files.append((name, _write_csv,
-                          {k: [v] for k, v in numbers.items()}))
-    created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        for key, vals in data.items():
+            # sweep's summary nests its monotonicity flags, all bools
+            if not isinstance(vals, dict) and not np.all(
+                    np.isfinite(np.asarray(vals, dtype=float))):
+                raise SolverError(f"non-finite {key} in {name}")
+    # out and each of its missing ancestors, deepest first
+    made = [d for d in (out, *out.parents) if not d.exists()]
     temps = []
     try:
-        for name, write, data in files:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
             temps.append(out / f".{name}.{os.getpid()}.tmp")
+            write = _write_json if name.endswith(".json") else _write_csv
             write(temps[-1], config, data)
     except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
-        if created:
-            out.rmdir()
+        for directory in made:
+            if directory.is_dir():
+                directory.rmdir()
         raise
-    paths = [out / name for name, _, _ in files]
+    paths = [out / name for name in files]
     for tmp, path in zip(temps, paths):
         os.replace(tmp, path)
     return paths
@@ -136,18 +127,18 @@ def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
 def _check_crack_args(args):
     """The checks solve and baseline share, made before solving."""
     if args.sigma0 == 0.0:
-        raise ConfigError("--sigma0 must be nonzero: outputs are "
-                          "normalized by it")
+        raise ValueError("--sigma0 must be nonzero: outputs are "
+                         "normalized by it")
     if args.profile_samples < 3:
-        raise ConfigError("--profile-samples must be at least 3")
+        raise ValueError("--profile-samples must be at least 3")
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     if not 0.0 < args.p < np.inf:
-        raise ConfigError("--p must be positive and finite")
+        raise ValueError("--p must be positive and finite")
     _check_crack_args(args)
     if args.neartip_samples < 1:
-        raise ConfigError("--neartip-samples must be at least 1")
+        raise ValueError("--neartip-samples must be at least 1")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
@@ -162,7 +153,11 @@ def _cmd_solve(args) -> int:
         xbar = 1e-12 * args.a * np.geomspace(1e-3, 20.0,
                                              args.neartip_samples)
     syy, myz = stress_ahead(sol, args.a + xbar)
-    tables = {
+    record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=tip.k_ratio,
+                  J=tip.j, J_ratio=tip.j_ratio, n=args.n,
+                  condition=sol.condition, residual=sol.residual,
+                  classical_degenerate=sol.classical_degenerate)
+    *_, path = _write_outputs(args, {
         "densities.csv": {
             "s": sol.disc.nodes, "f": sol.f_vals, "g": sol.g_vals},
         "profiles.csv": {
@@ -180,32 +175,26 @@ def _cmd_solve(args) -> int:
             "sigma_yy_over_sigma0": syy / args.sigma0,
             "m_yz": myz,
             "m_yz_over_sigma0_ell": myz / (args.sigma0 * ell)},
-    }
-    record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=tip.k_ratio,
-                  J=tip.j, J_ratio=tip.j_ratio, n=args.n,
-                  condition=sol.condition, residual=sol.residual,
-                  classical_degenerate=sol.classical_degenerate)
-    *_, path = _write_outputs(args, tables, ("summary", record, args.format))
+        f"summary.{args.format}": record})
     print(f"solve: K_I_ratio={_fmt(tip.k_ratio)} J_ratio={_fmt(tip.j_ratio)} "
           f"-> {path}")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     if args.p_steps < 1:
-        raise ConfigError("--p-steps must be at least 1")
+        raise ValueError("--p-steps must be at least 1")
     if not 0.0 < args.p_min <= args.p_max < np.inf:
-        raise ConfigError("need 0 < --p-min <= --p-max < inf")
+        raise ValueError("need 0 < --p-min <= --p-max < inf")
     try:
         nus = sorted(float(v) for v in args.nu_list.split(",") if v.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad --nu-list: {exc}") from None
+        raise ValueError(f"bad --nu-list: {exc}") from None
     if not nus:
-        raise ConfigError("--nu-list is empty")
+        raise ValueError("--nu-list is empty")
     # each nu is reported under this key in the summary's flags
     keys = [f"nu={nu:g}" for nu in nus]
     if len(set(keys)) < len(keys):
-        raise ConfigError(f"--nu-list repeats a value: {args.nu_list}")
+        raise ValueError(f"--nu-list repeats a value: {args.nu_list}")
     if args.log_spaced:
         ps = np.geomspace(args.p_min, args.p_max, args.p_steps)
     else:
@@ -213,7 +202,7 @@ def _cmd_sweep(args) -> int:
     # as the CSV prints them: a repeat would write rows it cannot tell
     # apart and break every strict monotonicity flag
     if len({_fmt(p) for p in ps}) < ps.size:
-        raise ConfigError("--p-min, --p-max and --p-steps repeat a p value")
+        raise ValueError("--p-min, --p-max and --p-steps repeat a p value")
 
     # (K_I_ratio, J_ratio) on the (p, nu) grid, p descending and nu
     # ascending: its ravel is the CSV's rows, ell/a ascending then nu.
@@ -236,31 +225,29 @@ def _cmd_sweep(args) -> int:
                    "J_ratio_strictly_decreasing_in_ell_over_a": bool(j),
                    "J_below_classical": bool(b)}
              for key, (k, j), b in zip(keys, decreasing, below)}
-    csv, path = _write_outputs(args, {"sweep.csv": cols},
-                               ("sweep_summary", {"monotonicity": flags},
-                                "json"))
+    csv, path = _write_outputs(args, {
+        "sweep.csv": cols, "sweep_summary.json": {"monotonicity": flags}})
     print(f"sweep: {p_grid.size} rows -> {csv}, flags -> {path}")
-    return 0
 
 
-def _cmd_field(args) -> int:
+def _cmd_field(args):
     if args.x_num < 1 or args.y_num < 1:
-        raise ConfigError("empty grid: --x-num and --y-num must be >= 1")
+        raise ValueError("empty grid: --x-num and --y-num must be >= 1")
     mat = MaterialParams(mu=args.mu, nu=args.nu, ell=args.ell)
     charge = DefectCharge(b=args.b, omega=args.omega)
     xs = np.linspace(args.x_min, args.x_max, args.x_num)
     ys = np.linspace(args.y_min, args.y_max, args.y_num)
     # a non-finite bound, or a spacing that overflows
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ConfigError("grid points must be finite")
+        raise ValueError("grid points must be finite")
     if np.any(ys < 0.0):
-        raise ConfigError("grid extends below the half-plane: y must be >= 0")
+        raise ValueError("grid extends below the half-plane: y must be >= 0")
     # rows run over x within each y
     y, x = (g.ravel() for g in np.meshgrid(ys, xs, indexing="ij"))
     core = (x == 0.0) & (y == 0.0)
     if np.any(core):
         k = np.argmax(core)
-        raise ConfigError(
+        raise ValueError(
             f"grid contains the defect core point ({x[k]:g}, {y[k]:g})")
     # an extreme ell overflows the Bessel terms; _write_outputs reports the
     # non-finite result as one line, so numpy need not warn first
@@ -268,97 +255,81 @@ def _cmd_field(args) -> int:
         st = full_field(x, y, charge, mat)
     [path] = _write_outputs(args, {"field.csv": {"x": x, "y": y, **vars(st)}})
     print(f"field: {x.size} points -> {path}")
-    return 0
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_baseline(args):
     _check_crack_args(args)
-    mat = MaterialParams(mu=args.mu, nu=args.nu, ell=0.0)
-    prob = CrackProblem(half_length=args.a, remote_tension=args.sigma0,
-                        material=mat)
+    # ell = a/inf = 0: the classical material
+    prob = _problem(args.nu, np.inf, a=args.a, sigma0=args.sigma0,
+                    mu=args.mu)
     base = classical_baseline(prob, n=args.n,
                               m_samples=args.profile_samples)
-    cod = {
-        "x": base.x_samples,
-        "x_over_a": base.x_samples / args.a,
-        "cod_closed": base.cod,
-        "cod_discrete": base.cod_discrete,
-    }
     record = dict(K_I=base.k_i, K_I_discrete=base.k_i_discrete,
                   K_I_discrete_rel_err=abs(base.k_i_discrete - base.k_i)
                   / base.k_i,
                   J=base.j, n=args.n)
-    _, path = _write_outputs(args, {"baseline_cod.csv": cod},
-                             ("baseline", record, args.format))
+    _, path = _write_outputs(args, {
+        "baseline_cod.csv": {
+            "x": base.x_samples,
+            "x_over_a": base.x_samples / args.a,
+            "cod_closed": base.cod,
+            "cod_discrete": base.cod_discrete},
+        f"baseline.{args.format}": record})
     print(f"baseline: K_I={_fmt(base.k_i)} J={_fmt(base.j)} -> {path}")
-    return 0
+
+
+# every option's add_argument keywords, each declared once
+_OPTIONS = {
+    "nu": dict(type=float, default=0.3, help="Poisson ratio"),
+    "p": dict(type=float, default=10.0, help="size ratio a/ell"),
+    "n": dict(type=int, default=128, help="integration nodes"),
+    "sigma0": dict(type=float, default=1.0, help="remote tension"),
+    "a": dict(type=float, default=1.0, help="crack half-length"),
+    "mu": dict(type=float, default=1.0, help="shear modulus"),
+    "format": dict(choices=("csv", "json"), default="json",
+                   help="summary format"),
+    "profile-samples": dict(type=int, default=201),
+    "neartip-samples": dict(type=int, default=80),
+    "p-min": dict(type=float, required=True),
+    "p-max": dict(type=float, required=True),
+    "p-steps": dict(type=int, required=True),
+    "log-spaced": dict(action="store_true"),
+    "nu-list": dict(type=str, default="0.3"),
+    "b": dict(type=float, default=1.0, help="climb Burgers component"),
+    "omega": dict(type=float, default=0.0, help="Frank rotation angle"),
+    "ell": dict(type=float, default=1.0),
+    "x-min": dict(type=float, required=True),
+    "x-max": dict(type=float, required=True),
+    "x-num": dict(type=int, required=True),
+    "y-min": dict(type=float, required=True),
+    "y-max": dict(type=float, required=True),
+    "y-num": dict(type=int, required=True),
+    "out": dict(type=str, default=".", help="output directory"),
+}
+
+# (command, function, help, options besides --out).  sweep's ratios need
+# no scale flags nor --format, and its nus come from --nu-list alone
+_COMMANDS = (
+    ("solve", _cmd_solve, "solve one crack configuration",
+     "nu p n sigma0 a mu format profile-samples neartip-samples"),
+    ("sweep", _cmd_sweep, "sweep the size ratio a/ell",
+     "n p-min p-max p-steps log-spaced nu-list"),
+    ("field", _cmd_field, "evaluate the defect field on a grid",
+     "b omega mu nu ell x-min x-max x-num y-min y-max y-num"),
+    ("baseline", _cmd_baseline, "classical-elasticity references",
+     "nu n sigma0 a mu format profile-samples"),
+)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cscrack",
                      description="couple-stress mode-I crack solver")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, with_nu=True, with_p=True, scales=True):
-        """Shared options; ``scales`` adds the crack and material scales
-        and the summary format, which sweep's ratios do not depend on.
-        sweep takes its Poisson ratios from --nu-list alone."""
-        if with_nu:
-            sp.add_argument("--nu", type=float, default=0.3,
-                            help="Poisson ratio")
-        if with_p:
-            sp.add_argument("--p", type=float, default=10.0,
-                            help="size ratio a/ell")
-        sp.add_argument("--n", type=int, default=128,
-                        help="integration nodes")
-        if scales:
-            sp.add_argument("--sigma0", type=float, default=1.0,
-                            help="remote tension")
-            sp.add_argument("--a", type=float, default=1.0,
-                            help="crack half-length")
-            sp.add_argument("--mu", type=float, default=1.0,
-                            help="shear modulus")
-            sp.add_argument("--format", choices=("csv", "json"),
-                            default="json", help="summary format")
-        sp.add_argument("--out", type=str, default=".",
-                        help="output directory")
-
-    sp = sub.add_parser("solve", help="solve one crack configuration")
-    common(sp)
-    sp.add_argument("--profile-samples", type=int, default=201)
-    sp.add_argument("--neartip-samples", type=int, default=80)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("sweep", help="sweep the size ratio a/ell")
-    common(sp, with_nu=False, with_p=False, scales=False)
-    sp.add_argument("--p-min", type=float, required=True)
-    sp.add_argument("--p-max", type=float, required=True)
-    sp.add_argument("--p-steps", type=int, required=True)
-    sp.add_argument("--log-spaced", action="store_true")
-    sp.add_argument("--nu-list", type=str, default="0.3")
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("field", help="evaluate the defect field on a grid")
-    sp.add_argument("--b", type=float, default=1.0,
-                    help="climb Burgers component")
-    sp.add_argument("--omega", type=float, default=0.0,
-                    help="Frank rotation angle")
-    sp.add_argument("--mu", type=float, default=1.0)
-    sp.add_argument("--nu", type=float, default=0.3)
-    sp.add_argument("--ell", type=float, default=1.0)
-    sp.add_argument("--x-min", type=float, required=True)
-    sp.add_argument("--x-max", type=float, required=True)
-    sp.add_argument("--x-num", type=int, required=True)
-    sp.add_argument("--y-min", type=float, required=True)
-    sp.add_argument("--y-max", type=float, required=True)
-    sp.add_argument("--y-num", type=int, required=True)
-    sp.add_argument("--out", type=str, default=".")
-    sp.set_defaults(func=_cmd_field)
-
-    sp = sub.add_parser("baseline", help="classical-elasticity references")
-    common(sp, with_p=False)
-    sp.add_argument("--profile-samples", type=int, default=201)
-    sp.set_defaults(func=_cmd_baseline)
+    for name, func, text, options in _COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        for option in (*options.split(), "out"):
+            sp.add_argument("--" + option, **_OPTIONS[option])
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -377,8 +348,8 @@ def main(argv=None) -> int:
         # reports only its error
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = args.func(args)
-    except (ConfigError, ValueError) as exc:
+            args.func(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverError, ArithmeticError) as exc:
@@ -392,7 +363,7 @@ def main(argv=None) -> int:
         return 1
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    return rc
+    return 0
 
 
 if __name__ == "__main__":

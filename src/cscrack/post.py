@@ -121,10 +121,11 @@ def _classical_closed_forms(problem: CrackProblem):
     K = sigma0 sqrt(pi a) and J = pi (1-nu) sigma0^2 a / (2 mu), which is
     pi (1-nu^2) sigma0^2 a / E with E = 2 mu (1+nu).  J is formed with
     sigma0/mu first, so it keeps its digits whenever it is a normal float
-    (sigma0^2 alone may overflow or underflow)."""
+    (sigma0^2 alone may overflow or underflow), and K with sqrt(pi) apart
+    from sqrt(a) (pi a overflows for a > 5.7e307)."""
     a, sigma0 = problem.half_length, problem.remote_tension
     mat = problem.material
-    return (sigma0 * np.sqrt(np.pi * a),
+    return (sigma0 * (np.sqrt(np.pi) * np.sqrt(a)),
             0.5 * np.pi * (1.0 - mat.nu) * a * (sigma0 / mat.mu) * sigma0)
 
 
@@ -234,8 +235,10 @@ def classical_baseline(problem: CrackProblem, n: int = 128,
                 Discretization.build(n))
     prof = crack_profiles(sol, m_samples)
     x, a = prof.x_samples, problem.half_length
+    # sqrt(a - x) sqrt(a + x): a^2 overflows for a > 1.34e154, and
+    # a^2 - x^2 cancels near the tips
     cod = (2.0 * (1.0 - mat.nu) * problem.remote_tension / mat.mu
-           * np.sqrt(a * a - x * x))
+           * np.sqrt(a - x) * np.sqrt(a + x))
     return ClassicalBaseline(k_i=float(k_closed), j=float(j_closed),
                              x_samples=x, cod=cod,
                              k_i_discrete=tip_quantities(sol).k_i,

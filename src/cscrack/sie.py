@@ -287,7 +287,7 @@ def _nu_free_system(disc: Discretization, p: float):
 
     Every block but the Cauchy term c/(2(1-nu)n)/(t - s) of the
     normal-stress rows depends on (n, p) alone, so problems that differ
-    only in nu share this part.  Returns (matrix, rhs, cauchy) with
+    only in nu share this part.  Returns (matrix, cauchy) with
     cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
     :func:`_cauchy_term` scales for one nu.  The log block, shared by
     both row sets, is logk/n plus the G_n correction.  Past the
@@ -313,10 +313,8 @@ def _nu_free_system(disc: Discretization, p: float):
         out[:, :nf] += block[:, ng:]
         return out
 
-    rhs = np.zeros(n)
-    rhs[:nf] = -1.0
     if _degenerate(p, n):
-        return np.zeros((nf, nf)), rhs[:nf], odd(1.0 / dt)
+        return np.zeros((nf, nf)), odd(1.0 / dt)
 
     k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
     # log_quadrature_weight at every U_{n-1} zero: a constant
@@ -348,7 +346,7 @@ def _nu_free_system(disc: Discretization, p: float):
     # closure sum g = 0 over all n nodes; sum f = 0 holds by oddness
     a_mat[n - 1, nf:] = 2.0
     a_mat[n - 1, 2 * nf:] = 1.0   # the s = 0 node of odd n
-    return a_mat, rhs, odd(recip)
+    return a_mat, odd(recip)
 
 
 def _cauchy_term(cauchy: np.ndarray, problem: CrackProblem,
@@ -374,15 +372,18 @@ def assemble(problem: CrackProblem, disc: Discretization):
     sum f = 0 closure holds by oddness.  Past the resolvability switch
     (a/ell > 2n, ell = 0 included) it is the n//2 x n//2 classical
     degenerate system of the f unknowns and normal-stress rows alone.
-    Returns (matrix, rhs) without row scaling.
+    Returns (matrix, rhs) without row scaling: the right-hand side is -1
+    on the normal-stress rows and 0 on the others.
     """
-    a_mat, rhs, cauchy = _nu_free_system(disc, problem.p)
+    a_mat, cauchy = _nu_free_system(disc, problem.p)
     nf = cauchy.shape[0]
     a_mat[:nf, :nf] += _cauchy_term(cauchy, problem, disc.n)
+    rhs = np.zeros(a_mat.shape[0])
+    rhs[:nf] = -1.0
     return a_mat, rhs
 
 
-def _g_block(base: np.ndarray, rhs: np.ndarray, nf: int, where: str):
+def _g_block(base: np.ndarray, nf: int, where: str):
     """Equilibrate and factor the nu-free rows of a folded system, once
     for all problems that share (n, p).
 
@@ -390,20 +391,21 @@ def _g_block(base: np.ndarray, rhs: np.ndarray, nf: int, where: str):
     the normal-stress rows [F G1], F on the nf f-columns; they lack the
     Cauchy term, the system's one nu-dependent block.  The other rows,
     couple-stress and closure, hold no nu: they are scaled by their
-    max-abs, in place in ``base`` and ``rhs``, to [G2 H].  Returns
-    (base, rhs, H^-1, X = H^-1 G2, Y = G1 H^-1, S0 = F - G1 X).  The
+    max-abs, in place in ``base``, to [G2 H], and the absolute column
+    sums of [G2 H] enter every problem's ||A||_1.  Returns (base, those
+    column sums, H^-1, X = H^-1 G2, Y = G1 H^-1, S0 = F - G1 X).  The
     degenerate system has no such rows: H is 0 x 0 and S0 = F.
     """
     scale = np.max(np.abs(base[nf:]), axis=1)
     base[nf:] /= scale[:, None]
-    rhs[nf:] /= scale
     try:
         h_inv = np.linalg.inv(base[nf:, nf:])
     except np.linalg.LinAlgError:
         raise SolverError(f"singular crack system at {where}") from None
     x_mat = h_inv @ base[nf:, :nf]
     g1 = base[:nf, nf:]
-    return base, rhs, h_inv, x_mat, g1 @ h_inv, base[:nf, :nf] - g1 @ x_mat
+    return (base, np.abs(base[nf:]).sum(axis=0), h_inv, x_mat, g1 @ h_inv,
+            base[:nf, :nf] - g1 @ x_mat)
 
 
 def _factor_solve(block, term: np.ndarray, where: str):
@@ -415,17 +417,18 @@ def _factor_solve(block, term: np.ndarray, where: str):
     A = [[D^-1 (F + cC), D^-1 G1], [G2, H]] and the Schur complement of
     H in it is D^-1 (S0 + cC), inverted as T.  Then
     A^-1 = [I; -X] T [I, -D^-1 Y] + [[0, 0], [0, H^-1]] gives both
-    x = A^-1 b and the exact 1-norm condition number
-    kappa_1 = ||A||_1 ||A^-1||_1.  Returns (x, condition, relative
-    residual of the whole equilibrated system).
+    x = A^-1 b, with b = -D^-1 1 on the normal-stress rows and 0 below,
+    and the exact 1-norm condition number kappa_1 = ||A||_1 ||A^-1||_1.
+    Returns (x, condition, relative residual of the whole equilibrated
+    system).
     """
-    base, rhs, h_inv, x_mat, y_mat, s0 = block
+    base, bottom_sums, h_inv, x_mat, y_mat, s0 = block
     nf = s0.shape[0]
     top, bottom = base[:nf].copy(), base[nf:]
     top[:, :nf] += term
     scale = np.max(np.abs(top), axis=1)
     top /= scale[:, None]
-    a_norm = np.max(np.abs(top).sum(axis=0) + np.abs(bottom).sum(axis=0))
+    a_norm = np.max(np.abs(top).sum(axis=0) + bottom_sums)
     try:
         t_mat = np.linalg.inv((s0 + term) / scale[:, None])
     except np.linalg.LinAlgError:
@@ -438,7 +441,7 @@ def _factor_solve(block, term: np.ndarray, where: str):
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SolverError(
             f"ill-conditioned crack system (cond ~ {cond:.2e}) at {where}")
-    b = np.concatenate([rhs[:nf] / scale, rhs[nf:]])
+    b = np.concatenate([-1.0 / scale, np.zeros(bottom.shape[0])])
     x = np.concatenate([upper @ b, -(lower @ b)])
     residual = np.linalg.norm(np.concatenate(
         [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
@@ -467,7 +470,7 @@ def _solve_shared(problems, disc: Discretization):
             f"a/ell = {p:g} exceeds the kernel resolvability limit "
             f"{2 * n} at n = {n}; solving the classical "
             "degenerate system instead", RuntimeWarning, stacklevel=3)
-    base, rhs, cauchy = _nu_free_system(disc, p)
+    base, cauchy = _nu_free_system(disc, p)
     if not np.all(np.isfinite(base)):
         raise SolverError(
             f"crack system has non-finite coefficients at n = {n}, "
@@ -480,7 +483,7 @@ def _solve_shared(problems, disc: Discretization):
 
     # row equilibration keeps the condition number flat across the many
     # orders of magnitude spanned by the 2/p^2 couple-stress prefactor
-    block = _g_block(base, rhs, cauchy.shape[0], f"n = {n}, p = {p:g}")
+    block = _g_block(base, cauchy.shape[0], f"n = {n}, p = {p:g}")
     sols = []
     for prob in problems:
         x, cond, residual = _factor_solve(

@@ -182,6 +182,31 @@ def test_config_echo_lists_every_option(tmp_path):
                     assert echo[dest] == str(action.default), (path, dest)
 
 
+def test_option_sets_and_defaults():
+    # every command's options and their defaults, as literals: the config
+    # echo test reads the defaults from the parser, so it cannot see one
+    # that changed.  repr pins the types too (128, not 128.0)
+    grid = ["--x-min", "-1", "--x-max", "1", "--x-num", "2",
+            "--y-min", "0", "--y-max", "1", "--y-num", "2"]
+    scales = dict(sigma0=1.0, a=1.0, mu=1.0, format="json")
+    for argv, want in (
+            (["solve"], dict(nu=0.3, p=10.0, n=128, **scales,
+                             profile_samples=201, neartip_samples=80)),
+            (["sweep", "--p-min", "1", "--p-max", "2", "--p-steps", "3"],
+             dict(n=128, p_min=1.0, p_max=2.0, p_steps=3, log_spaced=False,
+                  nu_list="0.3")),
+            (["field"] + grid,
+             dict(b=1.0, omega=0.0, mu=1.0, nu=0.3, ell=1.0, x_min=-1.0,
+                  x_max=1.0, x_num=2, y_min=0.0, y_max=1.0, y_num=2)),
+            (["baseline"], dict(nu=0.3, n=128, **scales,
+                                profile_samples=201))):
+        args = vars(cli._PARSER.parse_args(argv))
+        assert args.pop("func").__name__ == "_cmd_" + argv[0]
+        want = {"command": argv[0], **want, "out": "."}
+        assert {k: repr(v) for k, v in args.items()} == {
+            k: repr(v) for k, v in want.items()}, argv[0]
+
+
 def test_sweep_outputs_and_flags(tmp_path):
     rc = main(["sweep", "--p-min", "1", "--p-max", "100", "--p-steps", "5",
                "--log-spaced", "--nu-list", "0.0,0.3", "--n", "64",
@@ -338,9 +363,19 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     # scales at the ends of the float range that overflow J; the one
     # error line names the non-finite output (exit 2)
     overflowed = [(["solve", "--sigma0", "1e160", "--n", "16"],
-                   "J in summary"),
+                   "J in summary.json"),
                   (["baseline", "--sigma0", "1e300", "--n", "16"],
-                   "J in baseline")]
+                   "J in baseline.json"),
+                  (["baseline", "--a", "1.7e308", "--n", "16"],
+                   "cod_closed in baseline_cod.csv")]
+    # cracks so long that pi a or a^2 overflows, though K_I and the
+    # opening do not: both are formed without them (exit 0)
+    long_a = [(["baseline", "--a", "1e200", "--n", "16"], 1.77245385091e+100),
+              (["baseline", "--a", "6e307", "--n", "16"], 1.3729368493e+154),
+              (["solve", "--a", "6e307", "--p", "1e3", "--n", "16"],
+               1.3729368493e+154),
+              (["solve", "--a", "1e308", "--p", "1e6", "--n", "16"],
+               1.77245385091e+154)]
     # scales at which J is finite: J_ratio is read from f(1), g(1) alone,
     # so it keeps every digit of the unit crack's, and J is its classical
     # closed form (formed with sigma0/mu first) times J_ratio; None leaves
@@ -381,7 +416,7 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         (["field", "--b", "1", "--omega", om, "--ell", "1e-300"] + grid
          + wide, 0) for om in ("0", "1")]
     explicit += huge_p + rejected + [
-        argv for argv, _ in overflowed + scaled + field_ell]
+        argv for argv, _ in overflowed + scaled + long_a + field_ell]
     rng = np.random.default_rng(20261018)
     cases = explicit + [_fuzz_argv(rng) for _ in range(120)]
     codes = set()
@@ -425,6 +460,11 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
             record = json.loads((out / "summary.json").read_text())
             assert record["J_ratio"] == 0.901802810862, argv
         assert j is None or record["J"] == j, argv
+    for k, (argv, k_i) in enumerate(long_a):
+        out = tmp_path / f"long{k}"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        name = "baseline.json" if argv[0] == "baseline" else "summary.json"
+        assert json.loads((out / name).read_text())["K_I"] == k_i, argv
     # huge n: rejected before anything is allocated
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1
@@ -453,8 +493,13 @@ def test_failed_write_leaves_no_files(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert main(["solve", "--n", "16", "--out", str(tmp_path / "new")]) == 1
     assert not (tmp_path / "new").exists()
+    # every directory the failed run created goes, the deepest first
+    calls.clear()
+    nested = tmp_path / "nested" / "a" / "b"
+    assert main(["solve", "--n", "16", "--out", str(nested)]) == 1
+    assert not (tmp_path / "nested").exists()
     err = capsys.readouterr().err
-    assert err.count("\n") == 2 and "disk full" in err
+    assert err.count("\n") == 3 and "disk full" in err
     # an --out that names a file is a configuration error, not a traceback
     monkeypatch.undo()
     assert main(["solve", "--n", "16", "--out", str(out / "keep.txt")]) == 1

@@ -444,9 +444,10 @@ def test_condition_indicator_reported(solve_case):
         assert sol.condition == pytest.approx(kappa, rel=1e-12), p
 
 
-def _block_solve(a_mat, rhs, where):
-    """The block solve of a 2 x 2 system with one f row and no nu term."""
-    return _factor_solve(_g_block(a_mat.copy(), rhs.copy(), 1, where),
+def _block_solve(a_mat, where):
+    """The block solve of a 2 x 2 system with one f row and no nu term:
+    b is -1/D on the f row and 0 below."""
+    return _factor_solve(_g_block(a_mat.copy(), 1, where),
                          np.zeros((1, 1)), where)
 
 
@@ -457,15 +458,14 @@ def test_singular_or_ill_conditioned_system_is_a_solver_error():
     # arose
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SolverError, match="singular crack system at here"):
-        _block_solve(singular, np.ones(2), "here")
+        _block_solve(singular, "here")
     with pytest.raises(SolverError, match="singular crack system at here"):
-        _block_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2), "here")
+        _block_solve(np.array([[1.0, 0.0], [1.0, 0.0]]), "here")
     with pytest.raises(SolverError, match="ill-conditioned"):
-        _block_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
-                     np.ones(2), "here")
+        _block_solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), "here")
     # the rows equilibrate to the identity
-    x, cond, residual = _block_solve(np.diag([2.0, 4.0]), np.ones(2), "")
-    assert x.tolist() == [0.5, 0.25]
+    x, cond, residual = _block_solve(np.diag([2.0, 4.0]), "")
+    assert x.tolist() == [-0.5, 0.0]
     assert (cond, residual) == (1.0, 0.0)
 
 
@@ -535,9 +535,9 @@ def test_block_solve_pivots_are_well_conditioned(n):
             assert _kappa_1(h) < 1e4, (p, nu)
             assert _kappa_1(s) < 1e3, (p, nu)
     # past the switch there is no g-block: S is the whole system
-    base, rhs, cauchy = _nu_free_system(disc, 2.0 * n + 1.0)
+    base, cauchy = _nu_free_system(disc, 2.0 * n + 1.0)
     assert base.shape == cauchy.shape == (nf, nf)
-    assert _g_block(base, rhs, nf, "")[2].shape == (0, 0)
+    assert _g_block(base, nf, "")[2].shape == (0, 0)
 
 
 def test_repeated_solves_are_bitwise_identical():
