@@ -120,7 +120,11 @@ def _write_outputs(args, files: dict) -> list[Path]:
 
 
 def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
-    mat = MaterialParams(mu=mu, nu=nu, ell=a / p)
+    ell = a / p
+    if ell == np.inf:
+        raise ValueError(f"a/ell = {p:g} is too small at a = {a:g}: "
+                         "ell = a/(a/ell) overflows")
+    mat = MaterialParams(mu=mu, nu=nu, ell=ell)
     return CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
 
 
@@ -131,6 +135,8 @@ def _check_crack_args(args):
                          "normalized by it")
     if args.profile_samples < 3:
         raise ValueError("--profile-samples must be at least 3")
+    if not 0.0 < args.a < np.inf:
+        raise ValueError("--a must be positive and finite")
 
 
 def _cmd_solve(args):
@@ -139,6 +145,10 @@ def _cmd_solve(args):
     _check_crack_args(args)
     if args.neartip_samples < 1:
         raise ValueError("--neartip-samples must be at least 1")
+    # a subnormal a leaves ell = a/p too few digits, or none
+    if args.a < np.finfo(float).tiny:
+        raise ValueError(f"--a must be at least {np.finfo(float).tiny:g}, "
+                         "the smallest normal float")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
@@ -195,10 +205,8 @@ def _cmd_sweep(args):
     keys = [f"nu={nu:g}" for nu in nus]
     if len(set(keys)) < len(keys):
         raise ValueError(f"--nu-list repeats a value: {args.nu_list}")
-    if args.log_spaced:
-        ps = np.geomspace(args.p_min, args.p_max, args.p_steps)
-    else:
-        ps = np.linspace(args.p_min, args.p_max, args.p_steps)
+    spaced = np.geomspace if args.log_spaced else np.linspace
+    ps = spaced(args.p_min, args.p_max, args.p_steps)
     # as the CSV prints them: a repeat would write rows it cannot tell
     # apart and break every strict monotonicity flag
     if len({_fmt(p) for p in ps}) < ps.size:
@@ -210,11 +218,11 @@ def _cmd_sweep(args):
     # crack serves; the nus of one p share their (n, p) kernel matrices
     ps = ps[::-1]
     disc = Discretization.build(args.n)
-    ratios = np.empty((ps.size, len(nus), 2))
-    for i, p in enumerate(ps):
-        sols = _solve_shared([_problem(nu, p) for nu in nus], disc)
-        for j, tip in enumerate(map(tip_quantities, sols)):
-            ratios[i, j] = tip.k_ratio, tip.j_ratio
+    # every problem is built, and so checked, before the first solve
+    problems = [[_problem(nu, p) for nu in nus] for p in ps]
+    ratios = np.array([[(tip.k_ratio, tip.j_ratio) for tip in
+                        map(tip_quantities, _solve_shared(shared, disc))]
+                       for shared in problems])
     p_grid, nu_grid = np.meshgrid(ps, nus, indexing="ij")
     cols = {"ell_over_a": 1.0 / p_grid, "p": p_grid, "nu": nu_grid,
             "K_I_ratio": ratios[..., 0], "J_ratio": ratios[..., 1]}

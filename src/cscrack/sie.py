@@ -80,7 +80,8 @@ _P_WARN = 1e-3
 
 
 class SolverError(RuntimeError):
-    """Numerical failure of the density solve, carrying (n, p, nu)."""
+    """Numerical failure of the density solve.  Its message names the
+    (n, p, nu) where it arose; it carries no fields."""
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,8 @@ def _nu_free_system(disc: Discretization, p: float):
 
     Every block but the Cauchy term c/(2(1-nu)n)/(t - s) of the
     normal-stress rows depends on (n, p) alone, so problems that differ
-    only in nu share this part.  Returns (matrix, cauchy) with
+    only in nu share this part and :func:`_block_solves` factors it
+    once.  Returns (matrix, cauchy) with
     cauchy = 1/(t - s) - 1/(t + s), the folded Cauchy kernel that
     :func:`_cauchy_term` scales for one nu.  The log block, shared by
     both row sets, is logk/n plus the G_n correction.  Past the
@@ -383,82 +385,73 @@ def assemble(problem: CrackProblem, disc: Discretization):
     return a_mat, rhs
 
 
-def _g_block(base: np.ndarray, nf: int, where: str):
-    """Equilibrate and factor the nu-free rows of a folded system, once
-    for all problems that share (n, p).
+def _inverse(matrix: np.ndarray, where: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"singular crack system at {where}") from None
+
+
+def _block_solves(base: np.ndarray, terms, where: str):
+    """Solve and check, through their blocks, the equilibrated systems of
+    problems that share (n, p).
 
     The first nf rows of ``base`` (a :func:`_nu_free_system` matrix) are
     the normal-stress rows [F G1], F on the nf f-columns; they lack the
     Cauchy term, the system's one nu-dependent block.  The other rows,
     couple-stress and closure, hold no nu: they are scaled by their
-    max-abs, in place in ``base``, to [G2 H], and the absolute column
-    sums of [G2 H] enter every problem's ||A||_1.  Returns (base, those
-    column sums, H^-1, X = H^-1 G2, Y = G1 H^-1, S0 = F - G1 X).  The
-    degenerate system has no such rows: H is 0 x 0 and S0 = F.
-    """
-    scale = np.max(np.abs(base[nf:]), axis=1)
-    base[nf:] /= scale[:, None]
-    try:
-        h_inv = np.linalg.inv(base[nf:, nf:])
-    except np.linalg.LinAlgError:
-        raise SolverError(f"singular crack system at {where}") from None
-    x_mat = h_inv @ base[nf:, :nf]
-    g1 = base[:nf, nf:]
-    return (base, np.abs(base[nf:]).sum(axis=0), h_inv, x_mat, g1 @ h_inv,
-            base[:nf, :nf] - g1 @ x_mat)
+    max-abs, in place in ``base``, to [G2 H], and H is inverted once
+    (at ``where``) to form X = H^-1 G2, Y = G1 H^-1 and S0 = F - G1 X.
+    The degenerate system has no such rows: H is 0 x 0 and S0 = F.
 
-
-def _factor_solve(block, term: np.ndarray, where: str):
-    """Solve one problem's equilibrated system through its shared
-    :func:`_g_block` and check it.
-
-    With the nu term cC (``term``) added, the normal-stress rows are
-    scaled by their max-abs D, so the equilibrated matrix is
-    A = [[D^-1 (F + cC), D^-1 G1], [G2, H]] and the Schur complement of
-    H in it is D^-1 (S0 + cC), inverted as T.  Then
-    A^-1 = [I; -X] T [I, -D^-1 Y] + [[0, 0], [0, H^-1]] gives both
+    ``terms`` lists one (nu term cC, label) pair per problem.  With cC
+    added, the normal-stress rows are scaled by their max-abs D, so the
+    equilibrated matrix is A = [[D^-1 (F + cC), D^-1 G1], [G2, H]] and
+    the Schur complement of H in it is D^-1 (S0 + cC), inverted as T.
+    Then A^-1 = [I; -X] T [I, -D^-1 Y] + [[0, 0], [0, H^-1]] gives both
     x = A^-1 b, with b = -D^-1 1 on the normal-stress rows and 0 below,
     and the exact 1-norm condition number kappa_1 = ||A||_1 ||A^-1||_1.
-    Returns (x, condition, relative residual of the whole equilibrated
-    system).
+    Yields (x, condition, relative residual of the whole equilibrated
+    system) per term; errors name its label.
     """
-    base, bottom_sums, h_inv, x_mat, y_mat, s0 = block
-    nf = s0.shape[0]
-    top, bottom = base[:nf].copy(), base[nf:]
-    top[:, :nf] += term
-    scale = np.max(np.abs(top), axis=1)
-    top /= scale[:, None]
-    a_norm = np.max(np.abs(top).sum(axis=0) + bottom_sums)
-    try:
-        t_mat = np.linalg.inv((s0 + term) / scale[:, None])
-    except np.linalg.LinAlgError:
-        raise SolverError(f"singular crack system at {where}") from None
-    upper = np.concatenate([t_mat, -(t_mat / scale) @ y_mat], axis=1)
-    lower = x_mat @ upper                  # the rows of A^-1 below, negated
-    lower[:, nf:] -= h_inv
-    cond = a_norm * np.max(np.abs(upper).sum(axis=0)
-                           + np.abs(lower).sum(axis=0))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SolverError(
-            f"ill-conditioned crack system (cond ~ {cond:.2e}) at {where}")
-    b = np.concatenate([-1.0 / scale, np.zeros(bottom.shape[0])])
-    x = np.concatenate([upper @ b, -(lower @ b)])
-    residual = np.linalg.norm(np.concatenate(
-        [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
-    if not residual < 1e-10:
-        raise SolverError(
-            f"density solve residual {residual:.2e} exceeds 1e-10 "
-            f"at {where}")
-    return x, float(cond), float(residual)
+    nf = terms[0][0].shape[0]
+    base[nf:] /= np.max(np.abs(base[nf:]), axis=1)[:, None]
+    bottom, g1 = base[nf:], base[:nf, nf:]
+    bottom_sums = np.abs(bottom).sum(axis=0)
+    h_inv = _inverse(bottom[:, nf:], where)
+    x_mat = h_inv @ bottom[:, :nf]
+    y_mat, s0 = g1 @ h_inv, base[:nf, :nf] - g1 @ x_mat
+    for term, label in terms:
+        top = base[:nf].copy()
+        top[:, :nf] += term
+        scale = np.max(np.abs(top), axis=1)
+        top /= scale[:, None]
+        a_norm = np.max(np.abs(top).sum(axis=0) + bottom_sums)
+        t_mat = _inverse((s0 + term) / scale[:, None], label)
+        upper = np.concatenate([t_mat, -(t_mat / scale) @ y_mat], axis=1)
+        lower = x_mat @ upper              # the rows of A^-1 below, negated
+        lower[:, nf:] -= h_inv
+        cond = a_norm * np.max(np.abs(upper).sum(axis=0)
+                               + np.abs(lower).sum(axis=0))
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SolverError(f"ill-conditioned crack system "
+                              f"(cond ~ {cond:.2e}) at {label}")
+        b = np.concatenate([-1.0 / scale, np.zeros(bottom.shape[0])])
+        x = np.concatenate([upper @ b, -(lower @ b)])
+        residual = np.linalg.norm(np.concatenate(
+            [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
+        if not residual < 1e-10:
+            raise SolverError(f"density solve residual {residual:.2e} "
+                              f"exceeds 1e-10 at {label}")
+        yield x, float(cond), float(residual)
 
 
 def _solve_shared(problems, disc: Discretization):
     """Solve problems that share the size ratio p = a/ell on one grid.
 
-    The nu-free part of their systems is built, equilibrated and factored
-    once (:func:`_g_block`: one n/2 inverse), each problem then inverts
-    its own n/2 Schur complement (:func:`_factor_solve`), and the shared
-    blocks are freed on return.  Returns one :class:`DensitySolution` per
+    The nu-free part of their systems is built and factored once (one n/2
+    inverse in :func:`_block_solves`), and each problem inverts its own
+    n/2 Schur complement.  Returns one :class:`DensitySolution` per
     problem, in order; :func:`solve` documents the rest.
     """
     p = problems[0].p
@@ -483,17 +476,12 @@ def _solve_shared(problems, disc: Discretization):
 
     # row equilibration keeps the condition number flat across the many
     # orders of magnitude spanned by the 2/p^2 couple-stress prefactor
-    block = _g_block(base, cauchy.shape[0], f"n = {n}, p = {p:g}")
-    sols = []
-    for prob in problems:
-        x, cond, residual = _factor_solve(
-            block, _cauchy_term(cauchy, prob, n),
-            f"n = {n}, p = {p:g}, nu = {prob.material.nu:g}")
-        f, g = _unfold(x, n)
-        sols.append(DensitySolution(
-            f_vals=f, g_vals=g, problem=prob, disc=disc,
-            condition=cond, residual=residual))
-    return sols
+    where = f"n = {n}, p = {p:g}"
+    terms = [(_cauchy_term(cauchy, prob, n),
+              f"{where}, nu = {prob.material.nu:g}") for prob in problems]
+    return [DensitySolution(*_unfold(x, n), prob, disc, cond, residual)
+            for prob, (x, cond, residual)
+            in zip(problems, _block_solves(base, terms, where))]
 
 
 def solve(problem: CrackProblem, disc: Discretization) -> DensitySolution:

@@ -349,7 +349,6 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         ["sweep", "--p-min", "1", "--p-max", "inf", "--p-steps", "2"],
         ["solve", "--sigma0", "0", "--n", "16"],
         ["solve", "--sigma0", "1e300", "--mu", "1e-300", "--n", "16"],
-        ["solve", "--a", "1e-310", "--n", "16"],
         ["solve", "--p", "1e-300", "--n", "16"],
         ["sweep", "--p-min", "1e-300", "--p-max", "1e300", "--p-steps", "3",
          "--log-spaced", "--n", "16"],
@@ -403,6 +402,44 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
                  "--nu-list", "0.3,abc", "--n", "16"],
                 ["solve", "--sigma0", "nan", "--n", "16"],
                 ["field"] + grid + ["--y-min", "-1"]]
+    # --a and a/ell are checked before any solve (exit 1), and the error
+    # names them rather than the ell = a/(a/ell) formed from them
+    not_normal = "--a must be at least 2.22507e-308, the smallest normal float"
+    bad_a = [(["solve", "--a", "inf", "--n", "16"],
+              "--a must be positive and finite"),
+             (["solve", "--a", "-1", "--n", "16"],
+              "--a must be positive and finite"),
+             (["solve", "--a", "0", "--n", "16"],
+              "--a must be positive and finite"),
+             (["baseline", "--a", "inf", "--n", "16"],
+              "--a must be positive and finite"),
+             (["baseline", "--a", "nan", "--n", "16"],
+              "--a must be positive and finite"),
+             (["solve", "--p", "1e-310", "--n", "16"],
+              "a/ell = 1e-310 is too small at a = 1: ell = a/(a/ell) "
+              "overflows"),
+             (["solve", "--a", "1e300", "--p", "1e-10", "--n", "16"],
+              "a/ell = 1e-10 is too small at a = 1e+300: ell = a/(a/ell) "
+              "overflows"),
+             (["sweep", "--p-min", "1e-310", "--p-max", "1", "--p-steps", "2",
+               "--n", "16"],
+              "a/ell = 1e-310 is too small at a = 1: ell = a/(a/ell) "
+              "overflows"),
+             # subnormal a: ell underflows, or keeps too few digits to
+             # sample the near-tip grid
+             (["solve", "--a", "5e-324", "--p", "10", "--n", "32"],
+              not_normal),
+             (["solve", "--a", "1e-320", "--p", "1000", "--n", "32"],
+              not_normal),
+             (["solve", "--a", "1e-310", "--n", "16"], not_normal)]
+    # the extremes of a, a/ell and ell that still solve (exit 0)
+    extreme_ok = [["baseline", "--a", "1e-310", "--n", "16"],
+                  ["baseline", "--a", "5e-324", "--n", "16"],
+                  ["solve", "--p", "1e308", "--n", "16"],
+                  ["solve", "--a", "1e-300", "--p", "1e10", "--n", "16"],
+                  ["sweep", "--p-min", "1", "--p-max", "1e308", "--p-steps",
+                   "3", "--n", "16"],
+                  ["solve", "--a", "2.3e-308", "--p", "10", "--n", "16"]]
     # extreme ell: the dislocation terms form no power of ell, so only the
     # disclination at ell = 1e300 overflows (exit 2): its couple stress is
     # about mu ell^2 Omega / r^2.  Where r/ell overflows (ell = 5e-324 at
@@ -415,8 +452,8 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
                  for b, om in (("1", "0"), ("0", "1"))] + [
         (["field", "--b", "1", "--omega", om, "--ell", "1e-300"] + grid
          + wide, 0) for om in ("0", "1")]
-    explicit += huge_p + rejected + [
-        argv for argv, _ in overflowed + scaled + long_a + field_ell]
+    explicit += huge_p + rejected + extreme_ok + [
+        argv for argv, _ in overflowed + scaled + long_a + field_ell + bad_a]
     rng = np.random.default_rng(20261018)
     cases = explicit + [_fuzz_argv(rng) for _ in range(120)]
     codes = set()
@@ -447,6 +484,14 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     for k, (argv, code) in enumerate(field_ell):
         assert main(argv + ["--out", str(tmp_path / f"ell{k}")]) == code, argv
         capsys.readouterr()
+    for argv, line in bad_a:
+        assert main(argv + ["--out", str(tmp_path / "never")]) == 1, argv
+        assert capsys.readouterr().err == f"error: {line}\n", argv
+    for k, argv in enumerate(extreme_ok):
+        out = tmp_path / f"extreme{k}"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert _all_finite(out), argv
+    capsys.readouterr()
     for argv, name in overflowed:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 2, argv
         assert capsys.readouterr().err == (

@@ -11,7 +11,7 @@ from cscrack import (CrackProblem, DefectCharge, Discretization,
                      MaterialParams, SolverError, assemble, k3_reg,
                      line_m_yz, line_sigma_yy, log_quadrature_weight, solve,
                      tip_quantities)
-from cscrack.sie import (_factor_solve, _g_block, _normalized_kernels,
+from cscrack.sie import (_block_solves, _normalized_kernels,
                          _nu_free_system, _solve_shared, _working_set_bytes)
 
 EG = np.euler_gamma
@@ -447,8 +447,8 @@ def test_condition_indicator_reported(solve_case):
 def _block_solve(a_mat, where):
     """The block solve of a 2 x 2 system with one f row and no nu term:
     b is -1/D on the f row and 0 below."""
-    return _factor_solve(_g_block(a_mat.copy(), 1, where),
-                         np.zeros((1, 1)), where)
+    return next(_block_solves(a_mat.copy(), [(np.zeros((1, 1)), where)],
+                              where))
 
 
 def test_singular_or_ill_conditioned_system_is_a_solver_error():
@@ -537,7 +537,6 @@ def test_block_solve_pivots_are_well_conditioned(n):
     # past the switch there is no g-block: S is the whole system
     base, cauchy = _nu_free_system(disc, 2.0 * n + 1.0)
     assert base.shape == cauchy.shape == (nf, nf)
-    assert _g_block(base, nf, "")[2].shape == (0, 0)
 
 
 def test_repeated_solves_are_bitwise_identical():
@@ -551,14 +550,27 @@ def test_repeated_solves_are_bitwise_identical():
         assert sol.condition == first.condition
 
 
-def test_shared_solves_match_independent_solves():
-    # what `cscrack sweep` does: the nus of one p share their kernels
+def test_shared_solves_match_independent_solves(monkeypatch):
+    # what `cscrack sweep` does: the nus of one p share their kernels and
+    # their g-block, so one _solve_shared call inverts H once (0 x 0 past
+    # the switch at p = 96) and one Schur complement per nu
     d = Discretization.build(48)
     nus = (0.0, 0.3, 0.5, 0.3)
+    inverses = []
+    inv = np.linalg.inv
+
+    def counted(matrix):
+        inverses.append(matrix.shape)
+        return inv(matrix)
+
     for p in (0.05, 1.0, 30.0, 200.0):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            shared = _solve_shared([_problem(nu, p) for nu in nus], d)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "inv", counted)
+                shared = _solve_shared([_problem(nu, p) for nu in nus], d)
+            assert len(inverses) == 1 + len(nus), p
+            inverses.clear()
             refs = [solve(_problem(nu, p), d) for nu in nus]
         for nu, sol, ref in zip(nus, shared, refs):
             assert sol.problem.material.nu == nu
