@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .greens import DefectCharge, MaterialParams, full_field
-from .post import (classical_baseline, crack_profiles, stress_ahead,
+from .post import (_beyond_tip, classical_baseline, crack_profiles,
                    tip_quantities)
 from .sie import (CrackProblem, Discretization, SolverError, _solve_shared,
                   solve)
@@ -121,9 +121,11 @@ def _write_outputs(args, files: dict) -> list[Path]:
 
 def _problem(nu, p, a=1.0, sigma0=1.0, mu=1.0) -> CrackProblem:
     ell = a / p
-    if ell == np.inf:
-        raise ValueError(f"a/ell = {p:g} is too small at a = {a:g}: "
-                         "ell = a/(a/ell) overflows")
+    # ell = 0 is the classical material only at p = inf
+    if ell in (0.0, np.inf) and p < np.inf:
+        flow = "overflows" if ell else "underflows to 0"
+        raise ValueError(f"a/ell = {p:g} is too {'small' if ell else 'large'}"
+                         f" at a = {a:g}: ell = a/(a/ell) {flow}")
     mat = MaterialParams(mu=mu, nu=nu, ell=ell)
     return CrackProblem(half_length=a, remote_tension=sigma0, material=mat)
 
@@ -137,6 +139,10 @@ def _check_crack_args(args):
         raise ValueError("--profile-samples must be at least 3")
     if not 0.0 < args.a < np.inf:
         raise ValueError("--a must be positive and finite")
+    # a subnormal a leaves ell = a/p, or the profile's x, too few digits
+    if args.a < np.finfo(float).tiny:
+        raise ValueError(f"--a must be at least {np.finfo(float).tiny:g}, "
+                         "the smallest normal float")
 
 
 def _cmd_solve(args):
@@ -145,10 +151,6 @@ def _cmd_solve(args):
     _check_crack_args(args)
     if args.neartip_samples < 1:
         raise ValueError("--neartip-samples must be at least 1")
-    # a subnormal a leaves ell = a/p too few digits, or none
-    if args.a < np.finfo(float).tiny:
-        raise ValueError(f"--a must be at least {np.finfo(float).tiny:g}, "
-                         "the smallest normal float")
     prob = _problem(args.nu, args.p, a=args.a, sigma0=args.sigma0,
                     mu=args.mu)
     sol = solve(prob, Discretization.build(args.n))
@@ -156,13 +158,9 @@ def _cmd_solve(args):
     prof = crack_profiles(sol, m_samples=args.profile_samples)
     scale_u = prob.material.mu / (args.sigma0 * args.a)
     ell = prob.material.ell
-    xbar = ell * np.geomspace(1e-3, 20.0, args.neartip_samples)
-    if not np.all((args.a + xbar) / args.a > 1.0):
-        # ell is below the resolution of x near the tip, so the grid
-        # would round onto x = a: sample the grid of a/ell = 1e12 instead
-        xbar = 1e-12 * args.a * np.geomspace(1e-3, 20.0,
-                                             args.neartip_samples)
-    syy, myz = stress_ahead(sol, args.a + xbar)
+    # xbar/ell, passed on as xbar/a, which stays normal where xbar may not
+    grid = np.geomspace(1e-3, 20.0, args.neartip_samples)
+    syy, myz = _beyond_tip(sol, grid / args.p, 1.0)
     record = dict(f1=tip.f1, g1=tip.g1, K_I=tip.k_i, K_I_ratio=tip.k_ratio,
                   J=tip.j, J_ratio=tip.j_ratio, n=args.n,
                   condition=sol.condition, residual=sol.residual,
@@ -179,8 +177,8 @@ def _cmd_solve(args):
             "delta_omega_norm":
                 prof.delta_omega * prob.material.mu / args.sigma0},
         "neartip.csv": {
-            "xbar": xbar,
-            "xbar_over_ell": xbar / ell,
+            "xbar": ell * grid,
+            "xbar_over_ell": grid,
             "sigma_yy": syy,
             "sigma_yy_over_sigma0": syy / args.sigma0,
             "m_yz": myz,

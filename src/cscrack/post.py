@@ -150,59 +150,51 @@ def tip_quantities(sol: DensitySolution) -> TipQuantities:
                          k_ratio=k_ratio, j_ratio=j_ratio)
 
 
-def _exterior(coeffs: np.ndarray, t: np.ndarray, p):
+def _exterior(coeffs: np.ndarray, e: np.ndarray, side, p):
     """(cauchy, log): int_-1^1 w fhat/(t-s) ds and int_-1^1 w fhat
-    ln(p|t-s|) ds at |t| > 1, one row per row of ``coeffs``, exactly for
-    the interpolants.  With rt = sqrt(t^2-1) and q = t - sgn(t) rt, from
-    one power table of q, they are
+    ln(p|t-s|) ds at t = side (1+e), e > 0 past the tip at side = +-1, one
+    row per row of ``coeffs``, exactly for the interpolants.  With
+    rt = sqrt(t^2-1) = sqrt(e(2+e)) and u = |t| + rt, neither of which
+    cancels at any e, and one power table of q = t - side rt = side/u, they are
 
-        pi sum_j c_j q^j / (sgn(t) rt)  and
-        c_0 pi ln(p(|t|+rt)/2) - pi sum_{j>=1} c_j q^j / j.
+        pi sum_j c_j q^j / (side rt)  and
+        c_0 pi ln(p u/2) - pi sum_{j>=1} c_j q^j / j.
 
     log is None for p None (a classical-degenerate solution: p may be inf).
     """
-    rt = np.sqrt(t * t - 1.0)
-    sg = np.sign(t)
+    rt = np.sqrt(e * (2.0 + e))
+    u = 1.0 + e + rt
     j = np.arange(coeffs.shape[-1])
-    powers = (t - sg * rt) ** j[:, None]
-    cauchy = np.pi * (coeffs @ powers) / (sg * rt)
+    powers = (side / u) ** j[:, None]
+    cauchy = np.pi * (coeffs @ powers) / (side * rt)
     if p is None:
         return cauchy, None
-    log = (coeffs[:, :1] * np.pi * np.log(0.5 * p * (np.abs(t) + rt))
+    log = (coeffs[:, :1] * np.pi * np.log(0.5 * p * u)
            - np.pi * ((coeffs[:, 1:] / j[1:]) @ powers[1:]))
     return cauchy, log
 
 
-def stress_ahead(sol: DensitySolution, x):
-    """(sigma_yy, m_yz) on the crack line outside the crack, |x| > a.
-
-    The weighted Cauchy and logarithmic integrals of the density
-    interpolants are evaluated in closed form, so the inverse-square-root
-    tip singularity is exact; the regular kernels use the plain node sums.
-    """
-    prob = sol.problem
-    a = prob.half_length
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    t = np.atleast_1d(x / a)
-    if np.any(np.abs(t) <= 1.0):
-        raise ValueError("stress_ahead requires |x| > a")
-
-    nu = prob.material.nu
-    sigma0 = prob.remote_tension
-    n = sol.disc.n
-    s = sol.disc.nodes
+def _beyond_tip(sol: DensitySolution, e: np.ndarray, side):
+    """(sigma_yy, m_yz) on the crack line at x = side a (1+e), e > 0 past
+    the tip at side = +-1 (or one side per e).  Every term is formed from
+    e, never from x, so no sample near the tip loses digits: one grid serves
+    every a/ell.  The Cauchy and log integrals are closed forms
+    (:func:`_exterior`), so the inverse-square-root singularity is exact;
+    the regular kernels use the plain node sums."""
+    prob, n, s = sol.problem, sol.disc.n, sol.disc.nodes
+    a, sigma0, nu = prob.half_length, prob.remote_tension, prob.material.nu
     f, g = sol.f_vals, sol.g_vals
     cauchy_f = _cauchy_factor(prob, n) / (2.0 * np.pi * (1.0 - nu))
     # couple-stress and regular-kernel terms only where resolved, p <= 2n
     p = None if sol.classical_degenerate else prob.p
 
-    def rows(t):
-        cauchy, log = _exterior(sol.coefficients, t, p)
+    def rows(e, side):
+        cauchy, log = _exterior(sol.coefficients, e, side, p)
         syy = 1.0 + cauchy_f * cauchy[0]
         if p is None:
             return sigma0 * syy, np.zeros_like(syy)
-        k1n, k2n, k3n, _ = _normalized_kernels(t[:, None] - s[None, :], p)
+        k1n, k2n, k3n, _ = _normalized_kernels(
+            (side * (1.0 + e))[:, None] - s[None, :], p)
         syy = (syy + log[1] / np.pi
                + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
         myz = sigma0 * a * (
@@ -212,10 +204,19 @@ def stress_ahead(sol: DensitySolution, x):
             + 1.0 / (2.0 * p * n) * (k3n @ g))
         return sigma0 * syy, myz
 
-    syy, myz = _in_blocks(rows, t)
-    if scalar:
-        return float(syy[0]), float(myz[0])
-    return syy, myz
+    return _in_blocks(rows, e, np.broadcast_to(side, e.shape))
+
+
+def stress_ahead(sol: DensitySolution, x):
+    """(sigma_yy, m_yz) on the crack line outside the crack, |x| > a: those
+    of :func:`_beyond_tip` at e = (|x| - a)/a, whose difference is exact
+    for |x| <= 2a.  A scalar x gives floats."""
+    x = np.asarray(x, dtype=float)
+    a, xs = sol.problem.half_length, np.atleast_1d(x)
+    if not np.all(np.abs(xs) > a):      # NaN included
+        raise ValueError("stress_ahead requires |x| > a")
+    syy, myz = _beyond_tip(sol, (np.abs(xs) - a) / a, np.sign(xs))
+    return (float(syy[0]), float(myz[0])) if x.ndim == 0 else (syy, myz)
 
 
 def classical_baseline(problem: CrackProblem, n: int = 128,

@@ -431,11 +431,19 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
               not_normal),
              (["solve", "--a", "1e-320", "--p", "1000", "--n", "32"],
               not_normal),
-             (["solve", "--a", "1e-310", "--n", "16"], not_normal)]
+             (["solve", "--a", "1e-310", "--n", "16"], not_normal),
+             # the same rule for baseline: at 5e-324 its profile collapses
+             (["baseline", "--a", "1e-310", "--n", "16"], not_normal),
+             (["baseline", "--a", "5e-324", "--n", "16"], not_normal),
+             # ell = a/(a/ell) underflows to 0 at a finite a/ell
+             (["solve", "--a", "1e-300", "--p", "1e30", "--n", "16"],
+              "a/ell = 1e+30 is too large at a = 1e-300: ell = a/(a/ell) "
+              "underflows to 0"),
+             (["solve", "--a", "2.3e-308", "--p", "1e300", "--n", "16"],
+              "a/ell = 1e+300 is too large at a = 2.3e-308: ell = a/(a/ell) "
+              "underflows to 0")]
     # the extremes of a, a/ell and ell that still solve (exit 0)
-    extreme_ok = [["baseline", "--a", "1e-310", "--n", "16"],
-                  ["baseline", "--a", "5e-324", "--n", "16"],
-                  ["solve", "--p", "1e308", "--n", "16"],
+    extreme_ok = [["solve", "--p", "1e308", "--n", "16"],
                   ["solve", "--a", "1e-300", "--p", "1e10", "--n", "16"],
                   ["sweep", "--p-min", "1", "--p-max", "1e308", "--p-steps",
                    "3", "--n", "16"],
@@ -478,6 +486,10 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main(argv + ["--out", str(tmp_path / argv[2])]) == 0
+        # the near-tip grid is the same for every a/ell
+        _, near = _read_csv(tmp_path / argv[2] / "neartip.csv")
+        printed = [float(cli._fmt(v)) for v in np.geomspace(1e-3, 20.0, 80)]
+        assert near["xbar_over_ell"].tolist() == printed, argv
     for argv in rejected:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1, argv
         capsys.readouterr()
@@ -514,6 +526,22 @@ def test_cli_fuzz_exit_contract(tmp_path, capsys):
     for argv in explicit[:3]:
         assert main(argv + ["--out", str(tmp_path / "never")]) == 1
         assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["1e4", "1e6", "1e9", "1e12", "1e15", "1e300"])
+def test_degenerate_neartip_is_griffith(tmp_path, capsys, p):
+    # past a/ell = 2n the crack is classical: sigma_yy at the printed xbar
+    # (a = 1) is Griffith's (1 + xbar)/sqrt(xbar (2 + xbar)), however
+    # small xbar is beside a
+    assert main(["solve", "--p", p, "--n", "16", "--neartip-samples", "5",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, near = _read_csv(tmp_path / "neartip.csv")
+    xbar = near["xbar"]
+    griffith = (1.0 + xbar) / np.sqrt(xbar * (2.0 + xbar))
+    np.testing.assert_allclose(near["sigma_yy"], griffith, rtol=1e-11,
+                               atol=0.0)
+    assert not np.any(near["m_yz"])
 
 
 def test_failed_write_leaves_no_files(tmp_path, monkeypatch, capsys):

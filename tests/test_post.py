@@ -146,6 +146,8 @@ def test_stress_ahead_rejects_interior():
         stress_ahead(sol, 0.5)
     with pytest.raises(ValueError):
         stress_ahead(sol, -1.0)
+    with pytest.raises(ValueError):
+        stress_ahead(sol, [2.0, np.nan])
 
 
 def test_stress_ahead_far_field(solve_case):

@@ -1,7 +1,9 @@
 """Quadrature identities, kernels, assembly and the density solve."""
 
+import importlib.util
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cscrack.sie import (_block_solves, _normalized_kernels,
                          _nu_free_system, _solve_shared, _working_set_bytes)
 
 EG = np.euler_gamma
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _problem(nu=0.3, p=10.0):
@@ -586,6 +589,20 @@ def test_shared_solves_match_independent_solves(monkeypatch):
             assert sol.residual <= 1e-10
     with pytest.raises(ValueError, match="share a/ell"):
         _solve_shared([_problem(0.3, 1.0), _problem(0.3, 2.0)], d)
+
+
+@pytest.mark.parametrize("p, bound", [(1.0, 3e-8), (10.0, 8e-6),
+                                      (20.0, 3e-5)])
+def test_tip_densities_against_converged_limits(p, bound):
+    # the accuracy oracle's figure, max(|df(1)|, |dg(1)|/max(1, |g(1)|)),
+    # at n = 128 against its converged limits (measured: 2.1e-8, 5.6e-6
+    # and 2.2e-5); a more accurate rule tightens these bounds
+    spec = importlib.util.spec_from_file_location(
+        "accuracy_table", TOOLS / "accuracy_table.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.NU == 0.3
+    assert tool.error(p, 128) <= bound
 
 
 def test_endpoint_self_convergence(solve_case):
