@@ -31,10 +31,10 @@ Each system is equilibrated by rows and solved through its blocks.  Only
 the normal-stress rows carry nu, so the couple-stress and closure rows
 [G2 H] (H on the g unknowns) are factored once per (n, p): one n/2
 inverse of H.  Each nu then inverts one n/2 Schur complement.  The two
-inverses give the solution and the whole system's inverse, hence the
-exact 1-norm condition number that is reported and checked.  The
-Chebyshev coefficients of the solution come from one real FFT.  So the
-solver needs numpy alone.
+inverses give the solution and the whole system's inverse, formed one
+column half at a time, hence the exact 1-norm condition number that is
+reported and checked.  The Chebyshev coefficients of the solution come
+from one real FFT.  So the solver needs numpy alone.
 
 Extreme size ratios: for p above roughly 2n the couple-stress kernels act
 below quadrature resolution and the log-rule correction no longer matches
@@ -60,7 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from .greens import MaterialParams
-from .specfun import _regularised
+from .specfun import _BLOCK, _regularised
 
 __all__ = [
     "CrackProblem",
@@ -169,19 +169,20 @@ class DensitySolution:
 
 
 def _working_set_bytes(n: int) -> float:
-    """Peak bytes a solve at n allocates, as twelve n x n float64 matrices.
+    """Peak bytes a solve at n allocates: four n x n float64 matrices
+    plus 32 arrays of one kernel block (``_BLOCK`` entries).
 
-    The kernel pass holds about a dozen n/2 x n arrays at once: dt, w,
-    the evaluator's four outputs, the four kernels, lagrange and recip;
-    the evaluator's temporaries cover one block of its argument.  The
-    block solve peaks below that, at about 3.5 matrices past the
-    assembled one: the shared g-block inverses and one problem's
-    inverse.  tracemalloc peaks of :func:`solve` measured 6.0 matrices
-    at p = 0.3 (the series branch) and at p = 10, for n = 512 and 1024,
-    and 11.3 and 8.7 at n = 64, where one block covers the whole kernel
-    pass.
+    The block solve sets the peak at large n: the assembled matrix, the
+    shared g-block inverses (H^-1, X, Y and S0, one matrix together) and
+    one column half of A^-1 with the normal-stress rows, 3.5 matrices.
+    The kernel pass holds the matrix, the folded Cauchy block and the
+    temporaries of one row block, about 23 arrays of its size at p = 0.3
+    (the evaluator's series branch).  tracemalloc peaks of :func:`solve`
+    (``tools/solve_peaks.py``) measured 3.50-3.51 matrices at n = 512 and
+    1024 for p in {0.3, 10, 100}, 6.9 at n = 256 and 12.6 at n = 64,
+    p = 0.3, where one block covers the whole kernel pass.
     """
-    return 12 * 8.0 * float(n) ** 2
+    return 4 * 8.0 * float(n) ** 2 + 32 * 8.0 * _BLOCK
 
 
 def _physical_memory() -> float:
@@ -295,15 +296,23 @@ def _nu_free_system(disc: Discretization, p: float):
     both row sets, is logk/n plus the G_n correction.  Past the
     resolvability switch the system is the n//2 x n//2 f-Cauchy block
     alone, with no kernel pass and no g unknowns.
+
+    The kernel pass runs on blocks of max(1, _BLOCK // n) rows, about
+    ``specfun._BLOCK`` entries, each written straight into the outputs:
+    no n/2 x n kernel table is held, and as every entry is formed alone
+    the blocks change no bit.
     """
     n = disc.n
     # nf unknowns f at s_i > 0 (f(0) = 0 for odd n) and ng unknowns g at
     # s_i >= 0; nf normal-stress rows at t_k >= 0, mc couple-stress rows
     # at t_k > 0 and the closure row: nf + mc + 1 = nf + ng = n
     nf, ng, mc = n // 2, (n + 1) // 2, (n - 1) // 2
-    s, t = disc.nodes[:ng], disc.collocation[:nf]
-    # one kernel pass: t - s over s >= 0, then t + s = t - (-s) over s > 0
-    dt = t[:, None] - np.concatenate([s, -s[:nf]])[None, :]
+    t = disc.collocation[:nf]
+    # t - s over s >= 0, then t + s = t - (-s) over s > 0
+    s = np.concatenate([disc.nodes[:ng], -disc.nodes[:nf]])
+    degenerate = _degenerate(p, n)
+    a_mat = np.zeros((nf, nf) if degenerate else (n, n))
+    cauchy = np.empty((nf, nf))
 
     def odd(block):
         # f(-s) = -f(s): the column at -s enters with the opposite sign
@@ -315,10 +324,6 @@ def _nu_free_system(disc: Discretization, p: float):
         out[:, :nf] += block[:, ng:]
         return out
 
-    if _degenerate(p, n):
-        return np.zeros((nf, nf)), odd(1.0 / dt)
-
-    k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
     # log_quadrature_weight at every U_{n-1} zero: a constant
     gn = -np.pi * np.log(2.0) / n
     tn_t = (-1.0) ** np.arange(1, nf + 1)       # T_n at the kept t_k
@@ -326,29 +331,39 @@ def _nu_free_system(disc: Discretization, p: float):
     tprime = n * (-1.0) ** np.arange(n) / np.sin(theta)   # T_n'(s_i)
     # T_n' at the kept nodes, then at their mirrors -s_i = s_{n+1-i}
     tprime = np.concatenate([tprime[:ng], tprime[::-1][:nf]])
-    lagrange = tn_t[:, None] / (dt * tprime[None, :])
-    recip = 1.0 / dt
 
-    a_mat = np.zeros((n, n))
+    # the kernel pass, one block of rows k0:k1 at a time
+    step = max(1, _BLOCK // n)
+    for k0 in range(0, nf, step):
+        k1, m = min(k0 + step, nf), min(k0 + step, mc) - k0
+        dt = t[k0:k1, None] - s[None, :]
+        cauchy[k0:k1] = odd(1.0 / dt)
+        if degenerate:
+            continue
+        k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
+        lagrange = tn_t[k0:k1, None] / (dt * tprime[None, :])
 
-    # normal-stress rows at t_k >= 0
-    log_block = logk / n + gn * lagrange / np.pi
-    a_mat[:nf, :nf] = (2.0 / n) * odd(k1n)
-    a_mat[:nf, nf:] = even(log_block)
+        # normal-stress rows at t_k >= 0
+        log_block = logk / n + gn * lagrange / np.pi
+        a_mat[k0:k1, :nf] = (2.0 / n) * odd(k1n)
+        a_mat[k0:k1, nf:] = even(log_block)
 
-    # couple-stress rows at t_k > 0 (the row at t = 0 is odd in t and
-    # vanishes); the log/k2 coupling block is shared.  2/p/p rather than
-    # 2/p^2: inf, not ZeroDivisionError, if p^2 underflows; solve()
-    # rejects the non-finite system
-    a_mat[nf:n - 1, :nf] = odd(log_block[:mc])
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_mat[nf:n - 1, nf:] = even(-2.0 / p / p / n * recip[:mc]
-                                    + k3n[:mc] / (2.0 * p * n))
+        # couple-stress rows at t_k > 0, the first m of the block (the
+        # row at t = 0 is odd in t and vanishes); the log/k2 coupling
+        # block is shared.  2/p/p rather than 2/p^2: inf, not
+        # ZeroDivisionError, if p^2 underflows; solve() rejects the
+        # non-finite system.  c * (1/dt), not c/dt, which rounds apart
+        a_mat[nf + k0:nf + k0 + m, :nf] = odd(log_block[:m])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_mat[nf + k0:nf + k0 + m, nf:] = even(
+                -2.0 / p / p / n * (1.0 / dt[:m]) + k3n[:m] / (2.0 * p * n))
+        del k1n, k2n, k3n, logk, lagrange, log_block   # before the next block
 
-    # closure sum g = 0 over all n nodes; sum f = 0 holds by oddness
-    a_mat[n - 1, nf:] = 2.0
-    a_mat[n - 1, 2 * nf:] = 1.0   # the s = 0 node of odd n
-    return a_mat, odd(recip)
+    if not degenerate:
+        # closure sum g = 0 over all n nodes; sum f = 0 holds by oddness
+        a_mat[n - 1, nf:] = 2.0
+        a_mat[n - 1, 2 * nf:] = 1.0   # the s = 0 node of odd n
+    return a_mat, cauchy
 
 
 def _cauchy_term(cauchy: np.ndarray, problem: CrackProblem,
@@ -411,6 +426,9 @@ def _block_solves(base: np.ndarray, terms, where: str):
     Then A^-1 = [I; -X] T [I, -D^-1 Y] + [[0, 0], [0, H^-1]] gives both
     x = A^-1 b, with b = -D^-1 1 on the normal-stress rows and 0 below,
     and the exact 1-norm condition number kappa_1 = ||A||_1 ||A^-1||_1.
+    A^-1 is formed one column half at a time: [T; -X T] first, which
+    alone gives x and the residual, then [U; -X U - H^-1] with
+    U = -(T/D) Y.  The column sums of both halves give ||A^-1||_1.
     Yields (x, condition, relative residual of the whole equilibrated
     system) per term; errors name its label.
     """
@@ -428,18 +446,22 @@ def _block_solves(base: np.ndarray, terms, where: str):
         top /= scale[:, None]
         a_norm = np.max(np.abs(top).sum(axis=0) + bottom_sums)
         t_mat = _inverse((s0 + term) / scale[:, None], label)
-        upper = np.concatenate([t_mat, -(t_mat / scale) @ y_mat], axis=1)
-        lower = x_mat @ upper              # the rows of A^-1 below, negated
-        lower[:, nf:] -= h_inv
-        cond = a_norm * np.max(np.abs(upper).sum(axis=0)
-                               + np.abs(lower).sum(axis=0))
+        lower = x_mat @ t_mat        # the rows of A^-1 below, negated
+        col_sums = [np.abs(t_mat).sum(axis=0) + np.abs(lower).sum(axis=0)]
+        # b is zero below the normal-stress rows: the first half gives x
+        b = np.concatenate([-1.0 / scale, np.zeros(bottom.shape[0])])
+        x = np.concatenate([t_mat @ b[:nf], -(lower @ b[:nf])])
+        residual = np.linalg.norm(np.concatenate(
+            [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
+        del top, lower
+        upper = -(t_mat / scale) @ y_mat
+        lower = x_mat @ upper
+        lower -= h_inv
+        col_sums.append(np.abs(upper).sum(axis=0) + np.abs(lower).sum(axis=0))
+        cond = a_norm * np.max(np.concatenate(col_sums))
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SolverError(f"ill-conditioned crack system "
                               f"(cond ~ {cond:.2e}) at {label}")
-        b = np.concatenate([-1.0 / scale, np.zeros(bottom.shape[0])])
-        x = np.concatenate([upper @ b, -(lower @ b)])
-        residual = np.linalg.norm(np.concatenate(
-            [top @ x, bottom @ x]) - b) / np.linalg.norm(b)
         if not residual < 1e-10:
             raise SolverError(f"density solve residual {residual:.2e} "
                               f"exceeds 1e-10 at {label}")
@@ -479,6 +501,7 @@ def _solve_shared(problems, disc: Discretization):
     where = f"n = {n}, p = {p:g}"
     terms = [(_cauchy_term(cauchy, prob, n),
               f"{where}, nu = {prob.material.nu:g}") for prob in problems]
+    del cauchy      # every problem's term is formed
     return [DensitySolution(*_unfold(x, n), prob, disc, cond, residual)
             for prob, (x, cond, residual)
             in zip(problems, _block_solves(base, terms, where))]

@@ -1,7 +1,6 @@
 """Quadrature identities, kernels, assembly and the density solve."""
 
 import importlib.util
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,11 +12,20 @@ from cscrack import (CrackProblem, DefectCharge, Discretization,
                      MaterialParams, SolverError, assemble, k3_reg,
                      line_m_yz, line_sigma_yy, log_quadrature_weight, solve,
                      tip_quantities)
+from cscrack import sie
 from cscrack.sie import (_block_solves, _normalized_kernels,
                          _nu_free_system, _solve_shared, _working_set_bytes)
 
 EG = np.euler_gamma
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _tool(name):
+    """The script tools/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def _problem(nu=0.3, p=10.0):
@@ -45,19 +53,27 @@ def test_discretization_minimum_size():
         Discretization.build(7)
 
 
-@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("n", [64, 129, 256, 512, 1024])
 def test_memory_guard_covers_solve_peak(n):
     # the estimate Discretization.build checks against physical memory
-    # bounds what solve allocates, on both branches of the kernel evaluator
-    disc = Discretization.build(n)
-    for p in (0.3, 10.0):
-        tracemalloc.start()
-        try:
-            solve(_problem(p=p), disc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert _working_set_bytes(n) >= peak, (p, peak / (8.0 * n * n))
+    # bounds what solve allocates, on every branch of the kernel
+    # evaluator, at odd n and where one block covers the kernel pass
+    disc, peak = Discretization.build(n), _tool("solve_peaks").peak
+    for p in (0.3, 10.0, 100.0):
+        used = peak(solve, _problem(p=p), disc)
+        assert _working_set_bytes(n) >= used, (p, used / (8.0 * n * n))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_solve_peak_in_matrices(n):
+    # row blocks of the kernel pass and one column half of A^-1 at a
+    # time: measured 3.50-3.51 n x n matrices for solve and 1.43-2.66
+    # for the kernel pass, where whole n/2 x n tables peaked at 6.0
+    disc, peak = Discretization.build(n), _tool("solve_peaks").peak
+    unit = 8.0 * n * n
+    for p in (0.3, 10.0, 100.0):
+        assert peak(solve, _problem(p=p), disc) <= 3.6 * unit, p
+        assert peak(_nu_free_system, disc, p) <= 3.2 * unit, p
 
 
 def test_gauss_chebyshev_polynomial_exactness():
@@ -280,6 +296,22 @@ def _full_system(prob, disc):
     a_mat[2 * m, :n] = 1.0
     a_mat[2 * m + 1, n:] = 1.0
     return a_mat, rhs
+
+
+@pytest.mark.parametrize("n", [16, 17, 128, 129, 256])
+def test_kernel_blocks_change_no_bit(monkeypatch, n):
+    # one row per block, three rows per block (a ragged last block at
+    # every n here) and one block for all rows; the last block of odd n
+    # holds couple-stress rows to its end, that of even n one row fewer
+    disc = Discretization.build(n)
+    for p in (0.3, 10.0, 100.0, 2.0 * n + 1.0):
+        built = {}
+        for block in (1, 3 * n, n * n):
+            monkeypatch.setattr(sie, "_BLOCK", block)
+            built[block] = _nu_free_system(disc, p)
+        for block in (3 * n, n * n):
+            for got, want in zip(built[block], built[1]):
+                assert np.array_equal(got, want), (p, block)
 
 
 def test_assemble_shape_and_closure_rows():
@@ -597,10 +629,7 @@ def test_tip_densities_against_converged_limits(p, bound):
     # the accuracy oracle's figure, max(|df(1)|, |dg(1)|/max(1, |g(1)|)),
     # at n = 128 against its converged limits (measured: 2.1e-8, 5.6e-6
     # and 2.2e-5); a more accurate rule tightens these bounds
-    spec = importlib.util.spec_from_file_location(
-        "accuracy_table", TOOLS / "accuracy_table.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("accuracy_table")
     assert tool.NU == 0.3
     assert tool.error(p, 128) <= bound
 
