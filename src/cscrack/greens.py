@@ -148,7 +148,7 @@ class FieldState:
 def _bessel(w):
     """(K0, K1 - 1/w, 2/w^2 - K2) at w > 0 from one regularised-evaluator
     pass."""
-    r0, r1, r2 = _regularised(w)
+    r0, r1, r2 = _regularised(w, (0, 1, 2))
     return r0 - np.log(w), r1, r2 + 0.5
 
 
@@ -209,7 +209,7 @@ def _disclination_integrals(x, y):
         half = 0.5 * np.arcsinh(xc / y)             # half the range of s
         cosh = np.cosh(half[:, None] * (_GL_NODES + 1.0))
         w = y[:, None] * cosh                       # rho at the nodes
-        _, r1, r2 = _regularised(w)
+        r1, r2 = _regularised(w, (1, 2))
         # dX'/rho = ds: Y K1/rho dX' = Y K1 ds, and the regular rest of
         # the I11 integrand is [Y (r2 + 1/2)/cosh(s) + r1] ds
         i10 = half * ((y[:, None] * (r1 + 1.0 / w)) @ _GL_WEIGHTS)

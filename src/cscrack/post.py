@@ -193,8 +193,8 @@ def _beyond_tip(sol: DensitySolution, e: np.ndarray, side):
         syy = 1.0 + cauchy_f * cauchy[0]
         if p is None:
             return sigma0 * syy, np.zeros_like(syy)
-        k1n, k2n, k3n, _ = _normalized_kernels(
-            (side * (1.0 + e))[:, None] - s[None, :], p)
+        k1n, k2n, k3n = _normalized_kernels(
+            (side * (1.0 + e))[:, None] - s[None, :], p, ("k1", "k2", "k3"))
         syy = (syy + log[1] / np.pi
                + (2.0 / n) * (k1n @ f) - (1.0 / n) * (k2n @ g))
         myz = sigma0 * a * (

@@ -176,10 +176,10 @@ def _working_set_bytes(n: int) -> float:
     shared g-block inverses (H^-1, X, Y and S0, one matrix together) and
     one column half of A^-1 with the normal-stress rows, 3.5 matrices.
     The kernel pass holds the matrix, the folded Cauchy block and the
-    temporaries of one row block, about 23 arrays of its size at p = 0.3
+    temporaries of one row block, about 19 arrays of its size at p = 0.3
     (the evaluator's series branch).  tracemalloc peaks of :func:`solve`
     (``tools/solve_peaks.py``) measured 3.50-3.51 matrices at n = 512 and
-    1024 for p in {0.3, 10, 100}, 6.9 at n = 256 and 12.6 at n = 64,
+    1024 for p in {0.3, 10, 100}, 5.4 at n = 256 and 10.6 at n = 64,
     p = 0.3, where one block covers the whole kernel pass.
     """
     return 4 * 8.0 * float(n) ** 2 + 32 * 8.0 * _BLOCK
@@ -233,28 +233,48 @@ def log_quadrature_weight(t, disc: Discretization, p):
         + np.pi * np.log(0.5 * p)
 
 
-def _normalized_kernels(dt, p):
-    """Regular kernels k1, k2, k3 and the log kernel in crack coordinates.
+# the rows of specfun._regularised that each kernel reads
+_KERNEL_ROWS = {"k1": (2,), "k2": (0, 2), "k3": (1, 3), "log": (1,)}
+
+
+def _normalized_kernels(dt, p, names=("k1", "k2", "k3", "log")):
+    """The regular kernels k1, k2, k3 and the log kernel in crack
+    coordinates that ``names`` lists, in its order.
 
     With w = p|t - s| (a/ell = p, so w = |x - xi|/ell):
 
         k1   = [2/w^2 - K2(w) - 1/2] / (t - s)
         k2   = [2/w^2 - K2(w)] + [K0(w) + ln w]
         k3   = -4 sgn(t - s) [ (K1(w) - 1/w) + int_0^w K0 ]   (= k3_reg)
-        logk = (2/w) [K1(w) - 1/w]
+        log  = (2/w) [K1(w) - 1/w]
 
     k1 is odd and vanishes like (t-s) ln|t-s| at coincidence, k2 is even
     with coincidence value 1/2 + ln 2 - EulerGamma, and k3 is odd and zero
-    there.  logk = ln w - k2 by K2 - K0 = 2 K1/w (Abramowitz & Stegun
+    there.  log = ln w - k2 by K2 - K0 = 2 K1/w (Abramowitz & Stegun
     9.6.26), so no ln w is formed to cancel.  The collocation grid never
-    evaluates t = s.
+    evaluates t = s.  Only the evaluator rows that the named kernels read
+    are formed (the solve's k1, k3 and log need no K0 + ln w), and the
+    kernels are formed in place in them.
     """
     w = p * np.abs(dt)
-    k0_log, k1_recip, k2c, integral = _regularised(w, integral=True)
-    k1n = k2c / dt
-    k2n = (0.5 + k2c) + k0_log
-    k3n = -4.0 * np.sign(dt) * (k1_recip + integral)
-    return k1n, k2n, k3n, 2.0 * k1_recip / w     # the last is logk
+    rows = sorted({r for name in names for r in _KERNEL_ROWS[name]})
+    reg = dict(zip(rows, _regularised(w, rows)))
+    # each kernel in place in its row, once no other kernel reads it
+    kernels = {}
+    if "k2" in names:
+        kernels["k2"] = (0.5 + reg[2]) + reg[0]
+    if "k3" in names:
+        reg[3] += reg[1]
+        reg[3] *= -4.0 * np.sign(dt)
+        kernels["k3"] = reg[3]
+    if "log" in names:
+        reg[1] *= 2.0
+        reg[1] /= w
+        kernels["log"] = reg[1]
+    if "k1" in names:
+        reg[2] /= dt
+        kernels["k1"] = reg[2]
+    return tuple(kernels[name] for name in names)
 
 
 def _unfold(x: np.ndarray, n: int):
@@ -298,9 +318,12 @@ def _nu_free_system(disc: Discretization, p: float):
     alone, with no kernel pass and no g unknowns.
 
     The kernel pass runs on blocks of max(1, _BLOCK // n) rows, about
-    ``specfun._BLOCK`` entries, each written straight into the outputs:
-    no n/2 x n kernel table is held, and as every entry is formed alone
-    the blocks change no bit.
+    ``specfun._BLOCK`` entries.  Each block forms 1/(t - s) once, for the
+    Cauchy block and the couple-stress term, asks for k1, k3 and the log
+    kernel alone (three evaluator rows, no K0 + ln w), forms the log
+    block in place and folds every block straight into the outputs: no
+    n/2 x n kernel table is held, and as every entry is formed alone by
+    the same operations the blocks change no bit.
     """
     n = disc.n
     # nf unknowns f at s_i > 0 (f(0) = 0 for odd n) and ng unknowns g at
@@ -314,15 +337,14 @@ def _nu_free_system(disc: Discretization, p: float):
     a_mat = np.zeros((nf, nf) if degenerate else (n, n))
     cauchy = np.empty((nf, nf))
 
-    def odd(block):
+    def odd(block, out):
         # f(-s) = -f(s): the column at -s enters with the opposite sign
-        return block[:, :nf] - block[:, ng:]
+        np.subtract(block[:, :nf], block[:, ng:], out=out)
 
-    def even(block):
+    def even(block, out):
         # g(-s) = g(s); the s = 0 column of odd n has no mirror
-        out = block[:, :ng].copy()
-        out[:, :nf] += block[:, ng:]
-        return out
+        np.add(block[:, :nf], block[:, ng:], out=out[:, :nf])
+        out[:, nf:] = block[:, nf:ng]
 
     # log_quadrature_weight at every U_{n-1} zero: a constant
     gn = -np.pi * np.log(2.0) / n
@@ -337,27 +359,39 @@ def _nu_free_system(disc: Discretization, p: float):
     for k0 in range(0, nf, step):
         k1, m = min(k0 + step, nf), min(k0 + step, mc) - k0
         dt = t[k0:k1, None] - s[None, :]
-        cauchy[k0:k1] = odd(1.0 / dt)
+        inv = 1.0 / dt
+        odd(inv, cauchy[k0:k1])
         if degenerate:
             continue
-        k1n, k2n, k3n, logk = _normalized_kernels(dt, p)
-        lagrange = tn_t[k0:k1, None] / (dt * tprime[None, :])
+        k1n, k3n, logk = _normalized_kernels(dt, p, ("k1", "k3", "log"))
 
-        # normal-stress rows at t_k >= 0
-        log_block = logk / n + gn * lagrange / np.pi
-        a_mat[k0:k1, :nf] = (2.0 / n) * odd(k1n)
-        a_mat[k0:k1, nf:] = even(log_block)
+        # normal-stress rows at t_k >= 0.  The log block, shared by both
+        # row sets, is logk/n plus gn/pi times the Lagrange factor
+        # T_n(t)/((t - s) T_n'(s)); it is formed in place in logk
+        top = a_mat[k0:k1]
+        odd(k1n, top[:, :nf])
+        top[:, :nf] *= 2.0 / n
+        lagrange = dt * tprime[None, :]
+        np.divide(tn_t[k0:k1, None], lagrange, out=lagrange)
+        lagrange *= gn
+        lagrange /= np.pi
+        logk /= n
+        logk += lagrange
+        even(logk, top[:, nf:])
 
         # couple-stress rows at t_k > 0, the first m of the block (the
         # row at t = 0 is odd in t and vanishes); the log/k2 coupling
         # block is shared.  2/p/p rather than 2/p^2: inf, not
         # ZeroDivisionError, if p^2 underflows; solve() rejects the
         # non-finite system.  c * (1/dt), not c/dt, which rounds apart
-        a_mat[nf + k0:nf + k0 + m, :nf] = odd(log_block[:m])
+        odd(logk[:m], a_mat[nf + k0:nf + k0 + m, :nf])
+        couple, k3n = inv[:m], k3n[:m]
         with np.errstate(over="ignore", invalid="ignore"):
-            a_mat[nf + k0:nf + k0 + m, nf:] = even(
-                -2.0 / p / p / n * (1.0 / dt[:m]) + k3n[:m] / (2.0 * p * n))
-        del k1n, k2n, k3n, logk, lagrange, log_block   # before the next block
+            couple *= -2.0 / p / p / n
+            k3n /= 2.0 * p * n
+            couple += k3n
+        even(couple, a_mat[nf + k0:nf + k0 + m, nf:])
+        del inv, k1n, k3n, logk, lagrange, couple   # before the next block
 
     if not degenerate:
         # closure sum g = 0 over all n nodes; sum f = 0 holds by oddness

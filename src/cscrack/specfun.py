@@ -14,15 +14,16 @@ singularity-subtracted combinations
     k3_reg     = meijer_kernel(x, l) + 4 l/x    -> 0          as x -> 0
 
 (g is Euler's constant).  All three come from one private evaluator that
-returns K0 + ln w, K1 - 1/w and 2/w^2 - K2 - 1/2 together for an array
-w >= 0, and int_0^w K0 with them on request.  Near zero the defining
-differences suffer catastrophic cancellation, so below ``_SERIES_SWITCH``
-the evaluator sums the ascending series of K0, K1 and K2 at once, from a
-coefficient table built at import from exact factorials and harmonic
-sums.  Above it, up to ``_TAIL_CAP``, K0 and K1 come from a committed
-table as e^{-w} w^{-1/2} times polynomials in 1/(w + 2), and K2 from
-the upward recurrence K2(w) = K0(w) + 2 K1(w)/w (Abramowitz & Stegun
-9.6.26), which is stable in that direction.  Beyond the cap K0 and K1
+forms, for an array w >= 0, the rows of K0 + ln w, K1 - 1/w,
+2/w^2 - K2 - 1/2 and int_0^w K0 that its caller asks for, and no
+others.  Near zero the defining differences suffer catastrophic
+cancellation, so below ``_SERIES_SWITCH`` the evaluator sums the
+ascending series of K0, K1 and K2 at once, from a coefficient table
+built at import from exact factorials and harmonic sums.  Above it, up
+to ``_TAIL_CAP``, K0 and K1 come from a committed table as
+e^{-w} w^{-1/2} times polynomials in 1/(w + 2), and K2 from the upward
+recurrence K2(w) = K0(w) + 2 K1(w)/w (Abramowitz & Stegun 9.6.26),
+which is stable in that direction.  Beyond the cap K0 and K1
 are below half an ulp of every combination, which take their limits
 ln w, -1/w and 2/w^2 - 1/2.  The branches agree to a few ulps at the
 switch points.  The solver's kernel matrices call the same evaluator.
@@ -47,8 +48,9 @@ table, and beyond the cap as pi/2, which the tail no longer moves.
 ``tools/tail_coefficients.py`` fits the tail table against mpmath; K0
 and K1 from it are within 4.1e-16 relative of 30-digit references on
 [1, 40], where scipy.special's k0 and k1 reach 1.0e-15 and 6.0e-16.
-One Horner loop sums a table, so a kernel pass costs one loop, one exp,
-one sqrt and one log per branch.  The module needs numpy alone.
+One Horner loop sums the table columns that the requested rows read, so
+a kernel pass costs one loop per branch, with one exp and one sqrt in
+the tail and one log in the series.  The module needs numpy alone.
 
 All functions are pure and accept scalars or numpy arrays.
 """
@@ -122,13 +124,14 @@ _BLOCK = 1 << 14
 def _series_table():
     """Coefficients of eight power series in q = w^2/4, one per column.
 
-    Row k holds, for n = 0, 1, 2 in turn, 1/(k! (n+k)!) and
-    (1/2)[psi(k+1) + psi(n+k+1)] / (k! (n+k)!); the k = 0 entry of the
-    first column is dropped so that it sums I0 - 1 without cancellation.
-    The last two columns integrate the K0 series term by term:
-    a_k = 1/((k!)^2 (2k+1)) and b_k = [1/(2k+1) + psi(k+1)] a_k.
-    Built from exact factorials and harmonic sums; every entry is within
-    1.7 ulp of its 40-digit value.
+    Row k holds a_k = 1/((k!)^2 (2k+1)) and b_k = [1/(2k+1) + psi(k+1)]
+    a_k, which integrate the K0 series term by term, then, for n = 1, 2, 0
+    in turn, 1/(k! (n+k)!) and (1/2)[psi(k+1) + psi(n+k+1)] / (k! (n+k)!);
+    the k = 0 entry of the n = 0 column is dropped so that it sums I0 - 1
+    without cancellation.  So the column pairs serve the rows 3, 1, 2
+    and 0 of :func:`_regularised` in turn (``_SERIES_PAIR``).  Built from
+    exact factorials and harmonic sums; every entry is within 1.7 ulp of
+    its 40-digit value.
     """
     k = np.arange(_SERIES_TERMS)
     fact = np.array([float(math.factorial(j))
@@ -136,18 +139,26 @@ def _series_table():
     # psi(j+1) = H_j - EulerGamma, H_j the harmonic sum 1 + ... + 1/j
     harmonic = np.cumsum(1.0 / np.arange(1, _SERIES_TERMS + 2))
     psi = np.concatenate([[0.0], harmonic]) - np.euler_gamma
-    cols = []
-    for n in (0, 1, 2):
+    odd = 2.0 * k + 1.0
+    cols = [1.0 / (fact[k] ** 2 * odd)]
+    cols.append((1.0 / odd + psi[k]) * cols[-1])
+    for n in (1, 2, 0):
         inv = 1.0 / (fact[k] * fact[k + n])
         cols.append(np.where(k > 0, inv, 0.0) if n == 0 else inv)
         cols.append(0.5 * (psi[k] + psi[k + n]) * inv)
-    odd = 2.0 * k + 1.0
-    cols.append(1.0 / (fact[k] ** 2 * odd))
-    cols.append((1.0 / odd + psi[k]) * cols[-1])
     return np.stack(cols, axis=1)
 
 
 _SERIES_TABLE = _series_table()
+
+# The table columns that each row of _regularised reads: the pair
+# 2 _SERIES_PAIR[r], 2 _SERIES_PAIR[r] + 1 of the series table, and
+# _TAIL_COLUMNS[r] of the tail table (K0, K1 and the integral's tail).
+# Every caller's rows, (1, 2, 3), (0, 1, 2), (0, 1, 2, 3), (1, 2),
+# (1, 3) or one row, read one contiguous slice of each table, so a
+# branch sums no column that it does not use.
+_SERIES_PAIR = (3, 1, 2, 0)
+_TAIL_COLUMNS = ((0,), (1,), (0, 1), (2,))
 
 
 def _horner(table, q):
@@ -160,9 +171,9 @@ def _horner(table, q):
     return acc
 
 
-def _regularised_series(w, integral=False):
-    """Ascending series of (K0 + ln w, K1 - 1/w, 2/w^2 - K2 - 1/2), and of
-    int_0^w K0 as a fourth row if ``integral``.
+def _regularised_series(w, rows):
+    """Ascending series of the ``rows`` of (K0 + ln w, K1 - 1/w,
+    2/w^2 - K2 - 1/2, int_0^w K0), as a list of arrays.
 
     For a 1-D array w >= 0 of small values.  With h = w/2, q = h^2 and
 
@@ -179,72 +190,109 @@ def _regularised_series(w, integral=False):
     by term to int_0^w K0 = w sum_k (b_k - a_k ln h) q^k.  ln h is formed
     as ln w - ln 2, since w/2 underflows at the least subnormal, and
     replaced by 0 at w = 0, where every term it multiplies vanishes.
+    Only the table columns of the requested rows are summed.
     """
     w = np.asarray(w, dtype=float)
-    # without the h^n factors
-    i0m1, s0, i1, s1, i2, s2, *ab = _horner(
-        _SERIES_TABLE[:, :8 if integral else 6], 0.25 * w * w)
+    pairs = [_SERIES_PAIR[r] for r in rows]
+    first = min(pairs)
+    # without the h^n factors; row 3's pair is (a, b), the others' (I, S)
+    acc = _horner(_SERIES_TABLE[:, 2 * first:2 * max(pairs) + 2],
+                  0.25 * w * w)
     h = 0.5 * w
     with np.errstate(divide="ignore"):
         logh = np.where(w > 0.0, np.log(w) - np.log(2.0), 0.0)
-    rows = [np.log(2.0) - logh * i0m1 + s0,
-            h * (logh * i1 - s1),
-            h * h * (logh * i2 - s2)]
-    if integral:
-        a, b = ab
-        rows.append(w * (b - logh * a))
-    return rows
-
-
-def _regularised(w, integral=False):
-    """(K0 + ln w, K1 - 1/w, 2/w^2 - K2 - 1/2) for an array w >= 0, and
-    int_0^w K0 as a fourth row if ``integral``.
-
-    Returns an array of shape (3,) + w.shape, or (4,) + w.shape.  The
-    argument is worked through in blocks, so the temporaries do not grow
-    with its size; NaN gives NaN in every row.
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.empty((4 if integral else 3,) + w.shape)
-    flat_w, flat_out = w.reshape(-1), out.reshape(out.shape[0], -1)
-    for lo in range(0, w.size, _BLOCK):
-        _regularised_block(flat_w[lo:lo + _BLOCK],
-                           flat_out[:, lo:lo + _BLOCK])
+    # each row in place in the first column of its pair
+    out = []
+    for r, pair in zip(rows, pairs):
+        i, s = acc[2 * (pair - first):2 * (pair - first) + 2]
+        i *= logh
+        if r == 0:
+            np.subtract(np.log(2.0), i, out=i)
+            i += s
+        elif r == 3:
+            np.subtract(s, i, out=i)
+            i *= w
+        else:
+            i -= s
+            i *= h if r == 1 else h * h
+        out.append(i)
     return out
 
 
-def _regularised_block(w, out):
-    """The rows of :func:`_regularised` into ``out`` for a 1-D block w.
+def _regularised(w, rows):
+    """The ``rows`` of (K0 + ln w, K1 - 1/w, 2/w^2 - K2 - 1/2, int_0^w K0)
+    for an array w >= 0, numbered 0 to 3 in that order.
 
-    The series covers w < _SERIES_SWITCH.  Up to _TAIL_CAP one Horner pass
-    over the tail table, one exp and one sqrt give K0, K1 (and the tail
-    of the integral), and K2 follows by the upward recurrence
-    K2 = K0 + 2 K1/w (Abramowitz & Stegun 9.6.26), stable in that
-    direction.  Beyond the cap the Bessel terms are below half an ulp of
-    each row.
+    Returns an array of shape (len(rows),) + w.shape whose i-th row is
+    row rows[i].  Only the requested rows are formed, each entry by the
+    same operations whichever rows are asked for, so a row is bitwise the
+    same in every request.  The argument is worked through in blocks, so
+    the temporaries do not grow with its size; NaN gives NaN in every
+    row.
     """
-    integral = out.shape[0] == 4
+    w = np.asarray(w, dtype=float)
+    out = np.empty((len(rows),) + w.shape)
+    flat_w, flat_out = w.reshape(-1), out.reshape(len(rows), -1)
+    for lo in range(0, w.size, _BLOCK):
+        _regularised_block(flat_w[lo:lo + _BLOCK],
+                           flat_out[:, lo:lo + _BLOCK], rows)
+    return out
+
+
+def _regularised_block(w, out, rows):
+    """The ``rows`` of :func:`_regularised` into ``out`` for a 1-D block w.
+
+    The series covers w < _SERIES_SWITCH, the tail table w < _TAIL_CAP
+    and the limits the rest.  Each branch forms its rows from its own
+    arguments alone and writes them through its mask, one row at a time;
+    an empty branch forms nothing.
+    """
     small = w < _SERIES_SWITCH
     far = w >= _TAIL_CAP
     mid = ~(small | far)        # NaN included: it stays NaN
-    # skip an empty branch: a scalar call always leaves two of them empty
-    if np.any(small):
-        out[:, small] = _regularised_series(w[small], integral)
-    if np.any(mid):
-        wm = w[mid]
-        k0, k1, *tail = _tail(wm, out.shape[0] - 1)
-        out[0, mid] = k0 + np.log(wm)
-        out[1, mid] = k1 - 1.0 / wm
-        out[2, mid] = 2.0 / (wm * wm) - (k0 + 2.0 * k1 / wm) - 0.5
-        if integral:
-            out[3, mid] = 0.5 * np.pi - tail[0]
-    if np.any(far):
-        wf = w[far]
-        out[0, far] = np.log(wf)
-        out[1, far] = -1.0 / wf
-        out[2, far] = 2.0 / wf / wf - 0.5     # no overflow at huge w
-        if integral:
-            out[3, far] = 0.5 * np.pi
+    for mask, branch in ((small, _regularised_series),
+                         (mid, _regularised_tail), (far, _regularised_far)):
+        if mask.any():
+            values = branch(w[mask], rows)
+            for i in range(len(rows)):
+                out[i][mask] = values[i]
+            del values          # before the next branch forms its own
+
+
+def _regularised_tail(w, rows):
+    """The ``rows`` at a 1-D array 1 <= w < _TAIL_CAP, as a list.
+
+    One Horner pass over the tail-table columns the rows read, one exp
+    and one sqrt give K0, K1 and the tail of the integral, and K2 follows
+    by the upward recurrence K2 = K0 + 2 K1/w (Abramowitz & Stegun
+    9.6.26), stable in that direction.  Rows 0, 1 and 3 are formed in
+    place in the columns of K0, K1 and the tail, after row 2 reads them.
+    """
+    cols = [c for r in rows for c in _TAIL_COLUMNS[r]]
+    first, stop = min(cols), max(cols) + 1
+    tail = dict(zip(range(first, stop), _tail(w, stop, first)))
+    formed = {}
+    if 2 in rows:
+        formed[2] = 2.0 / (w * w) - (tail[0] + 2.0 * tail[1] / w) - 0.5
+    if 0 in rows:
+        tail[0] += np.log(w)
+        formed[0] = tail[0]
+    if 1 in rows:
+        tail[1] -= 1.0 / w
+        formed[1] = tail[1]
+    if 3 in rows:
+        formed[3] = np.subtract(0.5 * np.pi, tail[2], out=tail[2])
+    return [formed[r] for r in rows]
+
+
+def _regularised_far(w, rows):
+    """The ``rows`` at a 1-D array w >= _TAIL_CAP, as a list: there the
+    Bessel terms are below half an ulp of each row, which takes its
+    limit ln w, -1/w, 2/w^2 - 1/2 or pi/2."""
+    limits = {0: np.log, 1: lambda w: -1.0 / w,
+              2: lambda w: 2.0 / w / w - 0.5,       # no overflow at huge w
+              3: lambda w: 0.5 * np.pi}
+    return [limits[r](w) for r in rows]
 
 
 def _over_ell(v, ell):
@@ -256,14 +304,16 @@ def _over_ell(v, ell):
         return np.clip(v / ell, -big, big)
 
 
-def _tail(w, columns):
-    """K0, K1 and pi/2 - int_0^w K0, or the first ``columns`` of them, at
-    a 1-D array 1 <= w < _TAIL_CAP: e^{-w} w^{-1/2} times the polynomials
-    of the tail table, in one Horner pass."""
+def _tail(w, columns, first=0):
+    """K0, K1 and pi/2 - int_0^w K0, or their columns ``first`` to
+    ``columns`` - 1, at a 1-D array 1 <= w < _TAIL_CAP: e^{-w} w^{-1/2}
+    times the polynomials of the tail table, in one Horner pass."""
     lo = 1.0 / (_TAIL_CAP + _TAIL_SHIFT)
     hi = 1.0 / (_SERIES_SWITCH + _TAIL_SHIFT)
     x = (2.0 / (hi - lo)) / (w + _TAIL_SHIFT) - (hi + lo) / (hi - lo)
-    return np.exp(-w) / np.sqrt(w) * _horner(_TAIL_TABLE[:, :columns], x)
+    acc = _horner(_TAIL_TABLE[:, first:columns], x)
+    acc *= np.exp(-w) / np.sqrt(w)
+    return acc
 
 
 def k2_reg(x_abs, ell):
@@ -276,7 +326,7 @@ def k2_reg(x_abs, ell):
     if ell <= 0.0:
         raise ValueError("k2_reg requires ell > 0")
     w = _over_ell(np.abs(np.asarray(x_abs, dtype=float)), ell)
-    out = 0.5 + _regularised(w)[2]
+    out = 0.5 + _regularised(w, (2,))[0]
     return out if out.ndim else float(out)
 
 
@@ -291,7 +341,7 @@ def k0_log_reg(x_abs, ell):
         raise ValueError("k0_log_reg requires ell > 0")
     x = np.abs(np.asarray(x_abs, dtype=float))
     w = _over_ell(x, ell)
-    out = np.array(_regularised(w)[0])     # 0-d for a scalar x
+    out = np.array(_regularised(w, (0,))[0])     # 0-d for a scalar x
     over = w == np.finfo(float).max
     out[over] = np.log(x[over]) - np.log(ell)
     return out if out.ndim else float(out)
@@ -335,7 +385,6 @@ def k3_reg(x, ell):
     if ell <= 0.0:
         raise ValueError("k3_reg requires ell > 0")
     x = np.asarray(x, dtype=float)
-    _, k1_recip, _, integral = _regularised(_over_ell(np.abs(x), ell),
-                                            integral=True)
+    k1_recip, integral = _regularised(_over_ell(np.abs(x), ell), (1, 3))
     out = -4.0 * np.sign(x) * (k1_recip + integral)
     return out if out.ndim else float(out)

@@ -193,6 +193,17 @@ def test_kernels_are_the_line_greens_functions():
                 assert err <= 1e-14, (ell, nu, k, err)
 
 
+def test_named_kernels_are_bitwise():
+    # the solve's (k1, k3, log) and post-processing's (k1, k2, k3), formed
+    # from their evaluator rows alone, are the kernels of the full call
+    dt = np.linspace(-1.9, 1.9, 40)[:, None] - np.linspace(-1.0, 1.0, 7)
+    for p in (0.3, 10.0, 100.0):
+        full = dict(zip(("k1", "k2", "k3", "log"), _normalized_kernels(dt, p)))
+        for names in (("k1", "k3", "log"), ("k1", "k2", "k3"), ("log",)):
+            for name, got in zip(names, _normalized_kernels(dt, p, names)):
+                assert np.array_equal(got, full[name]), (p, name)
+
+
 def test_log_kernel_matches_mpmath():
     # the log block's kernel ln w - k2 = (2/w)(K1 - 1/w) to 1e-15 relative
     # against 40 digits, across the series, tail and far branches; ln w

@@ -147,7 +147,7 @@ def test_k0_k1_no_worse_than_scipy():
 
     ws = np.concatenate([table[::2], [
         1.0 - 1e-6, 40.0 + 1e-9, 40.5, 50.0, 100.0, 700.0, 1e3, 1e5, 1e300]])
-    rows = _regularised(ws)
+    rows = _regularised(ws, (0, 1, 2))
     k0, k1 = special.k0(ws), special.k1(ws)
     with np.errstate(over="ignore"):        # w * w at w = 1e300
         yardstick = (k0 + np.log(ws), k1 - 1.0 / ws,
@@ -208,7 +208,7 @@ def test_k2_reg_direct_composition():
 
 def test_k2_reg_branch_continuity():
     w = _SERIES_SWITCH
-    series = 0.5 + _regularised_series(np.array([w]))[2][0]
+    series = 0.5 + _regularised_series(np.array([w]), (2,))[0][0]
     direct = 2.0 / w ** 2 - special.kv(2, w)
     assert series == pytest.approx(direct, abs=1e-10)
 
@@ -238,7 +238,7 @@ def test_k0_log_reg_composition():
 
 def test_k0_log_reg_branch_continuity():
     w = _SERIES_SWITCH
-    series = _regularised_series(np.array([w]))[0][0]
+    series = _regularised_series(np.array([w]), (0,))[0][0]
     direct = special.k0(w) + np.log(w)
     assert series == pytest.approx(direct, abs=1e-10)
 
@@ -324,14 +324,14 @@ def test_k3_reg_near_zero_log_expansion():
 
 def test_k1_minus_recip_branch_continuity():
     w = _SERIES_SWITCH
-    series = _regularised_series(np.array([w]))[1][0]
+    series = _regularised_series(np.array([w]), (1,))[0][0]
     direct = special.k1(w) - 1.0 / w
     assert series == pytest.approx(direct, abs=1e-10)
 
 
 def _int_k0(w):
     """int_0^w K0, the fourth row of the evaluator."""
-    return _regularised(w, integral=True)[3]
+    return _regularised(w, (3,))[0]
 
 
 def test_int_k0_limits():
@@ -390,6 +390,26 @@ def test_int_k0_blocks_and_shapes():
         assert flat_got[i] == _int_k0(float(flat_w[i]))
 
 
+def test_rows_on_request_are_bitwise():
+    # every caller's rows, and each row alone, are bitwise the rows of the
+    # four-row call: at the branch edges and limits, and on an argument of
+    # _BLOCK + 3 entries whose block edge falls inside a branch, flat and
+    # as a 2-D array
+    edges = np.array([0.0, 5e-324, 1e-300, 1.0 - 1e-9, 1.0, 40.0 - 1e-7,
+                      40.0, 1e300, np.inf, np.nan])
+    spread = 50.0 * np.sin(np.arange(_BLOCK + 3)) ** 2
+    callers = [(1, 2, 3), (0, 1, 2, 3), (1, 2), (0, 1, 2), (1, 3),
+               (0,), (1,), (2,), (3,)]
+    for w in (edges, spread, spread.reshape(7, -1)):
+        every = _regularised(w, (0, 1, 2, 3))
+        for rows in callers:
+            got = _regularised(w, rows)
+            assert got.shape == (len(rows),) + w.shape
+            for i, r in enumerate(rows):
+                assert np.array_equal(got[i], every[r], equal_nan=True), (
+                    rows, r)
+
+
 def test_tail_coefficients_match_generator():
     # the committed K0, K1 and int_0^w K0 table is the generator's output,
     # bit for bit, on the intervals the evaluator uses
@@ -414,7 +434,8 @@ def test_least_subnormal_argument():
     assert k0_log_reg(w, 1.0) == k0_log_reg(0.0, 1.0)
     assert k2_reg(w, 1.0) == 0.5
     assert k3_reg(w, 1.0) == -4.0 * _int_k0(w)      # K1 - 1/w rounds to 0
-    assert np.all(np.isfinite(_regularised(np.array([w, 1e-323]), True)))
+    assert np.all(np.isfinite(_regularised(np.array([w, 1e-323]),
+                                           (0, 1, 2, 3))))
 
 
 def test_quotient_overflow_takes_the_classical_limits():
